@@ -1,15 +1,21 @@
 // Micro-benchmarks (google-benchmark) for the substrate layers: runtime
-// collectives, byte codecs, checksums, and the d/stream insert/extract path
-// (real host time — these measure this implementation, not the 1995
-// platforms).
+// collectives, byte codecs, the pfs LZ chunk codec, checksums, and the
+// d/stream insert/extract path (real host time — these measure this
+// implementation, not the 1995 platforms). Cases that run an rt::Machine do
+// their work on node threads, so they report wall time (UseRealTime): the
+// main thread's CPU time would leave the work out.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_obs.h"
 #include "src/collection/collection.h"
 #include "src/dstream/dstream.h"
+#include "src/pfs/codec.h"
 #include "src/scf/io_methods.h"
 #include "src/scf/segment.h"
 #include "src/scf/workload.h"
@@ -45,6 +51,72 @@ void BM_ByteCodecU64(benchmark::State& state) {
 }
 BENCHMARK(BM_ByteCodecU64);
 
+/// SCF segment payload bytes (count + seven double arrays per segment) of
+/// a Plummer-sphere fill: the particle data the checkpoint codec sees.
+ByteBuffer plummerSegmentBytes(std::int64_t segments) {
+  ByteBuffer out;
+  rt::Machine machine(1);
+  machine.run([&](rt::Node&) {
+    coll::Processors P;
+    coll::Distribution d(segments, &P, coll::DistKind::Block);
+    coll::Collection<scf::Segment> data(&d);
+    scf::fillPlummer(data, 100, 7);
+    data.forEachLocal([&](scf::Segment& seg, std::int64_t) {
+      const auto put = [&out](const void* p, std::size_t bytes) {
+        const auto* b = static_cast<const Byte*>(p);
+        out.insert(out.end(), b, b + bytes);
+      };
+      put(&seg.numberOfParticles, sizeof seg.numberOfParticles);
+      for (const double* a :
+           {seg.x, seg.y, seg.z, seg.vx, seg.vy, seg.vz, seg.mass})
+        put(a, sizeof(double) * seg.numberOfParticles);
+    });
+  });
+  return out;
+}
+
+constexpr std::size_t kCodecChunk = 64 * 1024;
+
+/// pfs chunk-codec compression over Plummer bytes in 64 KiB chunks (the
+/// default CodecSpec::chunkBytes), as CodecStorage seals them.
+void BM_LzCompress(benchmark::State& state) {
+  const ByteBuffer bytes = plummerSegmentBytes(256);
+  ByteBuffer packed;
+  for (auto _ : state) {
+    for (std::size_t off = 0; off < bytes.size(); off += kCodecChunk) {
+      const std::size_t len = std::min(kCodecChunk, bytes.size() - off);
+      benchmark::DoNotOptimize(
+          pfs::lzCompress(std::span<const Byte>(bytes).subspan(off, len),
+                          packed));
+    }
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_LzCompress);
+
+/// Decompression of the chunks BM_LzCompress packs (incompressible chunks
+/// are stored raw by the codec and skipped here).
+void BM_LzDecompress(benchmark::State& state) {
+  const ByteBuffer bytes = plummerSegmentBytes(256);
+  std::vector<std::pair<ByteBuffer, std::size_t>> packed;
+  std::int64_t rawBytes = 0;
+  for (std::size_t off = 0; off < bytes.size(); off += kCodecChunk) {
+    const std::size_t len = std::min(kCodecChunk, bytes.size() - off);
+    ByteBuffer p;
+    if (pfs::lzCompress(std::span<const Byte>(bytes).subspan(off, len), p)) {
+      packed.emplace_back(std::move(p), len);
+      rawBytes += static_cast<std::int64_t>(len);
+    }
+  }
+  for (auto _ : state) {
+    for (const auto& [p, len] : packed)
+      benchmark::DoNotOptimize(pfs::lzDecompress(p, len));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * rawBytes);
+}
+BENCHMARK(BM_LzDecompress);
+
 void BM_Barrier(benchmark::State& state) {
   const int nprocs = static_cast<int>(state.range(0));
   rt::Machine machine(nprocs);
@@ -55,7 +127,7 @@ void BM_Barrier(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 100);
 }
-BENCHMARK(BM_Barrier)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_Barrier)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_Alltoallv(benchmark::State& state) {
   const int nprocs = static_cast<int>(state.range(0));
@@ -70,7 +142,7 @@ void BM_Alltoallv(benchmark::State& state) {
     });
   }
 }
-BENCHMARK(BM_Alltoallv)->Arg(2)->Arg(8);
+BENCHMARK(BM_Alltoallv)->Arg(2)->Arg(8)->UseRealTime();
 
 /// The full d/stream output+input path on the host (memory backend, no
 /// timing model): measures the library's real CPU cost per element.
@@ -96,7 +168,7 @@ void BM_StreamRoundtrip(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * segments *
                           (4 + 7 * 8 * 100) * 2);
 }
-BENCHMARK(BM_StreamRoundtrip)->Arg(64)->Arg(512);
+BENCHMARK(BM_StreamRoundtrip)->Arg(64)->Arg(512)->UseRealTime();
 
 /// Buffered (one parallel op) vs unbuffered (one op per field) on the host:
 /// the micro version of the paper's headline comparison.
@@ -122,7 +194,8 @@ void BM_UnbufferedVsBuffered(benchmark::State& state) {
 BENCHMARK(BM_UnbufferedVsBuffered)
     ->Arg(0)
     ->Arg(1)
-    ->ArgNames({"buffered"});
+    ->ArgNames({"buffered"})
+    ->UseRealTime();
 
 /// --metrics-json support: google-benchmark owns argv, so the flag is
 /// stripped before Initialize(). When given, one instrumented stream

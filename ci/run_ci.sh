@@ -9,7 +9,8 @@
 #   ci/run_ci.sh fault       ASan build, fault-tolerance suite only
 #   ci/run_ci.sh chaos       ASan build, runtime chaos/watchdog suite only
 #   ci/run_ci.sh codec       full suite under PCXX_CODEC=lz + off-switch
-#                            byte-identity + codec ablation smoke
+#                            byte-identity + codec ablation smoke +
+#                            perfbench checkpoint_restart smoke
 #   ci/run_ci.sh coverage    gcov-instrumented build + line-coverage gate
 #   ci/run_ci.sh perf        perf-regression gate vs bench/BENCH_7.json
 #   ci/run_ci.sh all         all of the above, sequentially
@@ -133,7 +134,10 @@ run_coverage() {
 # PCXX_CODEC=lz output must actually carry the codec magic. Reuses (or
 # creates) the default build tree, then runs the codec ablation smoke
 # (compression + dedup + virtual-time identity; the binary exits 1 on any
-# failure).
+# failure) and a short traced perfbench checkpoint_restart run as a
+# correctness smoke: it exits non-zero unless every restore is
+# element-exact and the dedup, prefetch and aio layer checks hold. Its
+# numbers are not gated here.
 run_codec() {
   local build_dir="${repo_root}/build-ci-default"
   echo "=== [codec] configure ==="
@@ -160,6 +164,9 @@ run_codec() {
   fi
   echo "=== [codec] ablation smoke ==="
   "${build_dir}/bench/ablation_codec" --elements 8192 --chunk-kib 8
+  echo "=== [codec] perfbench checkpoint_restart smoke ==="
+  (cd "${repo_root}" && env -u PCXX_CODEC python3 perfbench/run.py \
+    --workload checkpoint_restart --seed 1 --seconds 2 --trace 1 > /dev/null)
   echo "=== [codec] OK ==="
 }
 

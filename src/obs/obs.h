@@ -110,7 +110,7 @@ enum class Timer : int {
   ScfInputSeconds,      ///< harness bracket around IoMethod::input
   AioStallSeconds,      ///< producer blocked on a full write-behind queue
   AioDrainSeconds,      ///< waiting for the flusher at drain points
-  PfsCodecSeconds,      ///< wall seconds in chunk compress/decompress
+  PfsCodecSeconds,      ///< wall seconds sealing/resolving codec chunks
   kCount
 };
 

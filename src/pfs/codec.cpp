@@ -4,6 +4,8 @@
 #include "pfs/codec.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cstring>
 
@@ -24,12 +26,33 @@ constexpr std::uint8_t kKindRef = 1;
 constexpr std::uint16_t kFrameFlagBaseRef = 0x0001;
 
 thread_local CodecThreadStats g_codecTls;
+thread_local int g_codecClockDepth = 0;
 
 double nowSeconds() {
   using Clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(Clock::now().time_since_epoch())
       .count();
 }
+
+/// Charges the wall time of the outermost live scope on this thread to
+/// CodecThreadStats::seconds. Nested scopes (a ref resolving through its
+/// target, a dedup probe reading its candidate) are absorbed by the outer
+/// one, so no codec second is counted twice.
+class CodecClock {
+ public:
+  CodecClock()
+      : outer_(g_codecClockDepth++ == 0), t0_(outer_ ? nowSeconds() : 0.0) {}
+  ~CodecClock() {
+    --g_codecClockDepth;
+    if (outer_) g_codecTls.seconds += nowSeconds() - t0_;
+  }
+  CodecClock(const CodecClock&) = delete;
+  CodecClock& operator=(const CodecClock&) = delete;
+
+ private:
+  bool outer_;
+  double t0_;
+};
 
 std::uint64_t fnv1a64(std::span<const Byte> data) {
   std::uint64_t h = 14695981039346656037ull;
@@ -43,6 +66,10 @@ std::uint64_t fnv1a64(std::span<const Byte> data) {
 /// Reads exactly out.size() bytes or reports failure (EOF short read).
 bool readExact(StorageBackend& s, std::uint64_t offset, std::span<Byte> out) {
   return s.readAt(offset, out) == out.size();
+}
+
+bool sameBytes(std::span<const Byte> a, std::span<const Byte> b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size()) == 0;
 }
 
 }  // namespace
@@ -59,64 +86,110 @@ const CodecThreadStats& codecThreadStats() { return g_codecTls; }
 // already-decoded output. Minimum match 4, maximum offset 65535.
 // ---------------------------------------------------------------------------
 
-bool lzCompress(std::span<const Byte> src, ByteBuffer& out) {
-  out.clear();
+namespace {
+
+/// Output room lzCompressTo may use for an n-byte input. Every match
+/// sequence emits at most its literals, their 255-run bytes and one byte
+/// less than its match covers, so even the early-exit stream stays below
+/// n + n/255 + 2.
+constexpr std::size_t lzBound(std::size_t n) { return n + n / 255 + 16; }
+
+/// The LZ parse behind lzCompress, emitting through a pointer into `dst`
+/// (room for lzBound(src.size()) bytes). Sets `written` to the bytes
+/// emitted and returns true when they are fewer than src.size(). The
+/// parse — greedy, 13-bit multiplicative hash of 4 bytes, table updated
+/// only at positions the scan visits, early exit once the output reaches
+/// the input size — is part of the stored format's reproducibility: the
+/// golden test in tests/pfs/lz_golden_test.cpp pins its exact output.
+bool lzCompressTo(std::span<const Byte> src, Byte* dst, std::size_t& written) {
+  written = 0;
   const std::size_t n = src.size();
   if (n < 16) return false;  // token overhead can't win on tiny inputs
 
   constexpr unsigned kHashBits = 13;
   constexpr std::uint32_t kNoPos = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> table(std::size_t{1} << kHashBits, kNoPos);
-  const auto hash4 = [&](std::size_t i) {
+  std::array<std::uint32_t, std::size_t{1} << kHashBits> table;
+  table.fill(kNoPos);
+  const Byte* const s = src.data();
+  Byte* op = dst;
+  const auto load32 = [s](std::size_t i) {
     std::uint32_t v;
-    std::memcpy(&v, src.data() + i, 4);
-    return (v * 2654435761u) >> (32u - kHashBits);
+    std::memcpy(&v, s + i, 4);
+    return v;
   };
-  const auto emitRun = [&](std::size_t len) {
-    while (len >= 255) {
-      out.push_back(Byte{255});
-      len -= 255;
-    }
-    out.push_back(static_cast<Byte>(len));
+  const auto emitRun = [&op](std::size_t len) {
+    for (; len >= 255; len -= 255) *op++ = Byte{255};
+    *op++ = static_cast<Byte>(len);
   };
   const auto emitSeq = [&](std::size_t litStart, std::size_t litLen,
                            std::size_t matchOff, std::size_t matchLen) {
     const std::size_t litTok = litLen < 15 ? litLen : 15;
     const std::size_t mTok =
         matchLen == 0 ? 0 : std::min<std::size_t>(matchLen - 4, 15);
-    out.push_back(static_cast<Byte>((litTok << 4) | mTok));
+    *op++ = static_cast<Byte>((litTok << 4) | mTok);
     if (litTok == 15) emitRun(litLen - 15);
-    out.insert(out.end(), src.begin() + litStart,
-               src.begin() + litStart + litLen);
+    std::memcpy(op, s + litStart, litLen);
+    op += litLen;
     if (matchLen != 0) {
-      out.push_back(static_cast<Byte>(matchOff & 0xFF));
-      out.push_back(static_cast<Byte>((matchOff >> 8) & 0xFF));
+      *op++ = static_cast<Byte>(matchOff & 0xFF);
+      *op++ = static_cast<Byte>((matchOff >> 8) & 0xFF);
       if (mTok == 15) emitRun(matchLen - 4 - 15);
     }
   };
+  /// Length of the common run of s[a..] and s[b..] (a < b), starting from
+  /// a known `len`, compared eight bytes at a time.
+  const auto extend = [s, n](std::size_t a, std::size_t b, std::size_t len) {
+    while (b + len + 8 <= n) {
+      std::uint64_t x;
+      std::uint64_t y;
+      std::memcpy(&x, s + a + len, 8);
+      std::memcpy(&y, s + b + len, 8);
+      if (const std::uint64_t diff = x ^ y; diff != 0) {
+        const int bit = std::endian::native == std::endian::little
+                            ? std::countr_zero(diff)
+                            : std::countl_zero(diff);
+        return len + static_cast<std::size_t>(bit / 8);
+      }
+      len += 8;
+    }
+    while (b + len < n && s[a + len] == s[b + len]) ++len;
+    return len;
+  };
 
-  out.reserve(n);
   std::size_t i = 0;
   std::size_t anchor = 0;
   const std::size_t mflimit = n - 4;  // last position a 4-byte match can start
   while (i < mflimit) {
-    const auto h = hash4(i);
+    const std::uint32_t v = load32(i);
+    const std::uint32_t h = (v * 2654435761u) >> (32u - kHashBits);
     const std::uint32_t cand = table[h];
     table[h] = static_cast<std::uint32_t>(i);
-    if (cand != kNoPos && i - cand <= 65535 &&
-        std::memcmp(src.data() + cand, src.data() + i, 4) == 0) {
-      std::size_t len = 4;
-      while (i + len < n && src[cand + len] == src[i + len]) ++len;
+    if (cand != kNoPos && i - cand <= 65535 && load32(cand) == v) {
+      const std::size_t len = extend(cand, i, 4);
       emitSeq(anchor, i - anchor, i - cand, len);
       i += len;
       anchor = i;
-      if (out.size() >= n) return false;  // clearly not winning; store raw
+      if (static_cast<std::size_t>(op - dst) >= n) {  // not winning; store raw
+        written = static_cast<std::size_t>(op - dst);
+        return false;
+      }
     } else {
       ++i;
     }
   }
   emitSeq(anchor, n - anchor, 0, 0);
-  return out.size() < n;
+  written = static_cast<std::size_t>(op - dst);
+  return written < n;
+}
+
+}  // namespace
+
+bool lzCompress(std::span<const Byte> src, ByteBuffer& out) {
+  out.resize(lzBound(src.size()));
+  std::size_t written = 0;
+  const bool packed = lzCompressTo(src, out.data(), written);
+  out.resize(written);
+  return packed;
 }
 
 ByteBuffer lzDecompress(std::span<const Byte> src, std::uint64_t rawBytes) {
@@ -400,7 +473,6 @@ CodecStorage::FrameState CodecStorage::readFrame(std::uint64_t index,
 
 ByteBuffer CodecStorage::chunkContent(std::uint64_t index, bool followRef) {
   const std::uint64_t c = spec_.chunkBytes;
-  ByteBuffer zeros(static_cast<std::size_t>(c), 0);
   const auto damaged = [&]() {
     ++g_codecTls.damagedChunks;
     return ByteBuffer(static_cast<std::size_t>(c), 0);
@@ -409,7 +481,7 @@ ByteBuffer CodecStorage::chunkContent(std::uint64_t index, bool followRef) {
   Frame f;
   switch (readFrame(index, f)) {
     case FrameState::Absent:
-      return zeros;  // a hole: zeros, not damage
+      return ByteBuffer(static_cast<std::size_t>(c), 0);  // a hole, not damage
     case FrameState::Damaged:
       return damaged();
     case FrameState::Valid:
@@ -419,6 +491,7 @@ ByteBuffer CodecStorage::chunkContent(std::uint64_t index, bool followRef) {
   ByteBuffer payload(f.storedBytes);
   if (!readExact(*inner_, frameOffset(index) + kFrameHeaderBytes, payload))
     return damaged();  // payload torn off at EOF
+  const CodecClock clock;  // resolve: CRC check, decode, ref re-hash
   // Trust boundary: the payload CRC is verified BEFORE any payload byte is
   // interpreted — hostile bytes never reach the decoder or the ref target.
   if (crc32(payload) != f.payloadCrc) return damaged();
@@ -427,14 +500,15 @@ ByteBuffer CodecStorage::chunkContent(std::uint64_t index, bool followRef) {
     const std::uint64_t target = decodeU64(payload.data());
     ByteBuffer content;
     if ((f.flags & kFrameFlagBaseRef) != 0) {
-      bool ok = false;
-      content = baseChunkContent(target, f.contentHash, ok);
-      if (!ok) return damaged();
+      content = baseChunkContent(target);
     } else {
       if (!followRef || target == index) return damaged();  // depth-1 only
       content = chunkContent(target, /*followRef=*/false);
-      if (fnv1a64(content) != f.contentHash) return damaged();
     }
+    // Re-verify the recorded content hash: a mutated or damaged target must
+    // surface as detectable damage, never as silently wrong bytes.
+    if (content.empty() || fnv1a64(content) != f.contentHash)
+      return damaged();
     return content;
   }
 
@@ -442,38 +516,24 @@ ByteBuffer CodecStorage::chunkContent(std::uint64_t index, bool followRef) {
   if (f.codecId == static_cast<std::uint8_t>(CodecId::Raw)) {
     content = std::move(payload);
   } else {
-    const double t0 = nowSeconds();
     try {
       content = lzDecompress(payload, f.rawBytes);
     } catch (const FormatError&) {
-      g_codecTls.seconds += nowSeconds() - t0;
       return damaged();
     }
-    g_codecTls.seconds += nowSeconds() - t0;
   }
   if (content.size() != f.rawBytes) return damaged();
   content.resize(static_cast<std::size_t>(c), 0);  // zero-pad past rawBytes
   return content;
 }
 
-ByteBuffer CodecStorage::baseChunkContent(std::uint64_t index,
-                                          std::uint64_t wantHash, bool& ok) {
-  ok = false;
+ByteBuffer CodecStorage::baseChunkContent(std::uint64_t index) {
   if (base_ == nullptr || base_->spec_.chunkBytes != spec_.chunkBytes)
     return {};
-  ByteBuffer content;
-  {
-    // Lock order is strictly file -> base; a base never locks a derived
-    // file, so this nesting cannot deadlock.
-    std::lock_guard<std::mutex> lk(base_->mu_);
-    content = base_->chunkContent(index, /*followRef=*/false);
-  }
-  if (content.size() != spec_.chunkBytes) return {};
-  // Re-verify the recorded content hash: a mutated or damaged base must
-  // surface as detectable damage, never as silently wrong bytes.
-  if (fnv1a64(content) != wantHash) return {};
-  ok = true;
-  return content;
+  // Lock order is strictly file -> base; a base never locks a derived
+  // file, so this nesting cannot deadlock.
+  std::lock_guard<std::mutex> lk(base_->mu_);
+  return base_->chunkContent(index, /*followRef=*/false);
 }
 
 void CodecStorage::forgetChunkLocked(std::uint64_t index) {
@@ -506,47 +566,51 @@ void CodecStorage::materializeRefsTo(std::uint64_t target) {
     // ref as an independent data frame before the target changes.
     ByteBuffer content = chunkContent(r, /*followRef=*/true);
     forgetChunkLocked(r);
-    writeDataFrame(r, content);
+    std::uint64_t hash = 0;
+    {
+      const CodecClock clock;
+      hash = fnv1a64(content);
+    }
+    writeDataFrame(r, content, hash);
   }
 }
 
 void CodecStorage::writeDataFrame(std::uint64_t index,
-                                  std::span<const Byte> content) {
+                                  std::span<const Byte> content,
+                                  std::uint64_t hash) {
   Frame f;
   f.kind = kKindData;
   f.chunkIndex = index;
   f.rawBytes = static_cast<std::uint32_t>(content.size());
-  f.contentHash = fnv1a64(content);
+  f.contentHash = hash;
 
-  ByteBuffer packed;
-  bool useLz = false;
-  if (spec_.codec == CodecId::Lz) {
-    const double t0 = nowSeconds();
-    useLz = lzCompress(content, packed);
-    g_codecTls.seconds += nowSeconds() - t0;
+  // Seal straight into the reused frame buffer: the payload is compressed
+  // (or copied) in place behind the header it is sealed under.
+  const std::size_t room = kFrameHeaderBytes + lzBound(content.size());
+  if (frameBuf_.size() < room) frameBuf_.resize(room);
+  Byte* const payload = frameBuf_.data() + kFrameHeaderBytes;
+  {
+    const CodecClock clock;  // seal: compress + payload CRC
+    std::size_t stored = 0;
+    const bool useLz = spec_.codec == CodecId::Lz &&
+                       lzCompressTo(content, payload, stored);
+    if (!useLz) {
+      stored = content.size();
+      std::memcpy(payload, content.data(), stored);
+    }
+    f.codecId = static_cast<std::uint8_t>(useLz ? CodecId::Lz : CodecId::Raw);
+    f.storedBytes = static_cast<std::uint32_t>(stored);
+    f.payloadCrc = crc32(std::span<const Byte>(payload, stored));
   }
-  f.codecId = static_cast<std::uint8_t>(useLz ? CodecId::Lz : CodecId::Raw);
-
-  ByteBuffer frame(kFrameHeaderBytes + (useLz ? packed.size() : content.size()));
-  if (useLz) {
-    f.storedBytes = static_cast<std::uint32_t>(packed.size());
-    f.payloadCrc = crc32(packed);
-    std::memcpy(frame.data() + kFrameHeaderBytes, packed.data(),
-                packed.size());
-  } else {
-    f.storedBytes = f.rawBytes;
-    f.payloadCrc = crc32(content);
-    std::memcpy(frame.data() + kFrameHeaderBytes, content.data(),
-                content.size());
-  }
-  f.encode(frame.data());
+  f.encode(frameBuf_.data());
+  const std::span<const Byte> frame(frameBuf_.data(),
+                                    kFrameHeaderBytes + f.storedBytes);
   // One contiguous write: header and payload land (or tear) together.
   inner_->writeAt(frameOffset(index), frame);
   g_codecTls.storedBytes += frame.size();
 
-  if (f.rawBytes == spec_.chunkBytes &&
-      ownHash_.emplace(f.contentHash, index).second)
-    hashByChunk_.emplace(index, f.contentHash);
+  if (f.rawBytes == spec_.chunkBytes && ownHash_.emplace(hash, index).second)
+    hashByChunk_.emplace(index, hash);
 }
 
 void CodecStorage::writeChunk(std::uint64_t index,
@@ -556,57 +620,52 @@ void CodecStorage::writeChunk(std::uint64_t index,
   materializeRefsTo(index);
   forgetChunkLocked(index);
 
-  if (content.size() == spec_.chunkBytes) {
-    const std::uint64_t hash = fnv1a64(content);
-    std::uint64_t target = 0;
-    bool haveOwn = false;
-    bool haveBase = false;
-    if (const auto it = ownHash_.find(hash);
-        it != ownHash_.end() && it->second != index) {
-      // Hashes only nominate; bytes decide.
-      const ByteBuffer existing = chunkContent(it->second, /*followRef=*/false);
-      if (existing.size() == content.size() &&
-          std::memcmp(existing.data(), content.data(), content.size()) == 0) {
+  std::uint64_t hash = 0;
+  std::uint64_t target = 0;
+  bool haveOwn = false;
+  bool haveBase = false;
+  {
+    const CodecClock clock;  // seal: the one content hash + dedup compare
+    hash = fnv1a64(content);
+    // Hashes only nominate; bytes decide. Bytes equal to content already
+    // sealed under `hash` carry that hash, so a match needs no re-hash.
+    if (content.size() == spec_.chunkBytes) {
+      if (const auto it = ownHash_.find(hash);
+          it != ownHash_.end() && it->second != index &&
+          sameBytes(chunkContent(it->second, /*followRef=*/false), content)) {
         target = it->second;
         haveOwn = true;
+      } else if (const auto b = baseHash_.find(hash);
+                 b != baseHash_.end() &&
+                 sameBytes(baseChunkContent(b->second), content)) {
+        target = b->second;
+        haveBase = true;
       }
-    }
-    if (!haveOwn) {
-      if (const auto it = baseHash_.find(hash); it != baseHash_.end()) {
-        bool ok = false;
-        const ByteBuffer existing = baseChunkContent(it->second, hash, ok);
-        if (ok && existing.size() == content.size() &&
-            std::memcmp(existing.data(), content.data(), content.size()) ==
-                0) {
-          target = it->second;
-          haveBase = true;
-        }
-      }
-    }
-    if (haveOwn || haveBase) {
-      Frame f;
-      f.kind = kKindRef;
-      f.flags = haveBase ? kFrameFlagBaseRef : 0;
-      f.chunkIndex = index;
-      f.rawBytes = spec_.chunkBytes;
-      f.storedBytes = 8;
-      f.contentHash = hash;
-      ByteBuffer frame(kFrameHeaderBytes + 8);
-      encodeU64(target, frame.data() + kFrameHeaderBytes);
-      f.payloadCrc =
-          crc32(std::span<const Byte>(frame.data() + kFrameHeaderBytes, 8));
-      f.encode(frame.data());
-      inner_->writeAt(frameOffset(index), frame);
-      g_codecTls.storedBytes += frame.size();
-      ++g_codecTls.dedupHits;
-      if (haveOwn) {
-        refsByTarget_.emplace(target, index);
-        refTargetByChunk_.emplace(index, target);
-      }
-      return;
     }
   }
-  writeDataFrame(index, content);
+  if (!haveOwn && !haveBase) {
+    writeDataFrame(index, content, hash);
+    return;
+  }
+  Frame f;
+  f.kind = kKindRef;
+  f.flags = haveBase ? kFrameFlagBaseRef : 0;
+  f.chunkIndex = index;
+  f.rawBytes = spec_.chunkBytes;
+  f.storedBytes = 8;
+  f.contentHash = hash;
+  std::array<Byte, kFrameHeaderBytes + 8> frame{};
+  encodeU64(target, frame.data() + kFrameHeaderBytes);
+  f.payloadCrc =
+      crc32(std::span<const Byte>(frame.data() + kFrameHeaderBytes, 8));
+  f.encode(frame.data());
+  inner_->writeAt(frameOffset(index), frame);
+  g_codecTls.storedBytes += frame.size();
+  ++g_codecTls.dedupHits;
+  if (haveOwn) {
+    refsByTarget_.emplace(target, index);
+    refTargetByChunk_.emplace(index, target);
+  }
 }
 
 void CodecStorage::writeAt(std::uint64_t offset, std::span<const Byte> data) {

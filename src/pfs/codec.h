@@ -57,12 +57,19 @@
 //
 // Dedup (kind = ref): a full chunk whose content hash matches an already
 // sealed DATA frame — in this file or in the named base file (the previous
-// checkpoint epoch) — is stored as an 8-byte reference to that chunk after
-// a full byte comparison (hashes only nominate, bytes decide). Refs only
-// ever target data frames, so cross-file dependencies are depth-1; reads
-// re-verify the target's content hash, so a mutated base surfaces as
-// detectable damage, never silent corruption. Overwriting a chunk that own
-// refs point at first materializes those refs as data frames.
+// checkpoint epoch) — is stored as an 8-byte reference to that chunk. The
+// writer hashes each chunk once; a hash match only NOMINATES the target,
+// whose stored bytes (header and payload CRCs checked) are then compared
+// in full, and that comparison alone decides. Refs only ever target data
+// frames, so cross-file dependencies are depth-1; the READER re-verifies
+// the target's content hash, so a mutated base surfaces as detectable
+// damage, never silent corruption. Overwriting a chunk that own refs point
+// at first materializes those refs as data frames.
+//
+// The LZ parse is fixed: for a given input lzCompress emits one exact token
+// stream, so a chunk's stored bytes never depend on the build. The golden
+// test tests/pfs/lz_golden_test.cpp (a frozen reference parse) is its
+// contract; a faster encoder must reproduce it byte for byte.
 //
 // Honest caveat (documented in docs/FORMAT.md): with a codec active the
 // torn-write damage unit of a REAL crash is the chunk — a tear mid-rewrite
@@ -109,7 +116,12 @@ struct CodecThreadStats {
   std::uint64_t storedBytes = 0;   ///< frame header+payload bytes stored
   std::uint64_t dedupHits = 0;     ///< chunks written as ref frames
   std::uint64_t damagedChunks = 0; ///< chunk reads that fell back to zeros
-  double seconds = 0.0;            ///< wall seconds in compress/decompress
+  /// Wall seconds sealing and resolving chunks. Sealing is the content
+  /// hash, the dedup byte comparison (candidate read included), compression
+  /// and the payload CRC; resolving is the payload CRC check, decompression
+  /// and a ref's content re-hash. Frame I/O to the inner store outside
+  /// those steps is not counted.
+  double seconds = 0.0;
 };
 
 /// The calling thread's codec counters (monotone; snapshot-and-diff).
@@ -118,7 +130,8 @@ const CodecThreadStats& codecThreadStats();
 /// LZ-class block compression (LZ4-style token stream: literal/match
 /// nibbles with 255-run extensions, 2-byte match offsets, min match 4).
 /// Returns true and fills `out` when the encoding is strictly smaller than
-/// `src`; returns false (out unspecified) for incompressible input.
+/// `src`; returns false (out unspecified) for incompressible input. The
+/// output is a fixed function of `src` (see "The LZ parse is fixed" above).
 bool lzCompress(std::span<const Byte> src, ByteBuffer& out);
 
 /// Bounds-checked decompression of `src` into exactly `rawBytes` output
@@ -182,14 +195,19 @@ class CodecStorage final : public StorageBackend {
   /// past rawBytes; all zeros + damage tick on any integrity failure).
   /// `followRef` bounds ref resolution to depth 1.
   ByteBuffer chunkContent(std::uint64_t index, bool followRef);
-  /// Content of a chunk in the BASE file (data frames only, hash-checked).
-  ByteBuffer baseChunkContent(std::uint64_t index, std::uint64_t wantHash,
-                              bool& ok);
-  /// Seal `content` as chunk `index`: dedup probe, then ref or data frame.
+  /// Content of chunk `index` in the BASE file, read under the base's lock
+  /// with refs not followed (only data frames resolve); empty when there is
+  /// no chunk-compatible base. Callers check it: readers by content hash,
+  /// the writer by byte comparison.
+  ByteBuffer baseChunkContent(std::uint64_t index);
+  /// Seal `content` as chunk `index`: hash once, dedup probe, then ref or
+  /// data frame.
   void writeChunk(std::uint64_t index, std::span<const Byte> content);
-  /// Seal `content` as a DATA frame (no dedup probe; used by writeChunk
-  /// and by ref materialization, which must not re-emit a ref).
-  void writeDataFrame(std::uint64_t index, std::span<const Byte> content);
+  /// Seal `content` (whose FNV-1a-64 is `hash`) as a DATA frame (no dedup
+  /// probe; used by writeChunk and by ref materialization, which must not
+  /// re-emit a ref).
+  void writeDataFrame(std::uint64_t index, std::span<const Byte> content,
+                      std::uint64_t hash);
   void materializeRefsTo(std::uint64_t target);
   void forgetChunkLocked(std::uint64_t index);  // drop maps for an overwrite
 
@@ -199,6 +217,8 @@ class CodecStorage final : public StorageBackend {
   std::shared_ptr<CodecStorage> base_;  // dedup base view (depth 1)
   std::mutex mu_;
   std::uint64_t logicalSize_ = 0;
+  /// Reused frame buffer a data frame is sealed into (grown on first write).
+  ByteBuffer frameBuf_;
   /// content hash -> chunk index of a sealed full DATA frame in this file.
   std::unordered_map<std::uint64_t, std::uint64_t> ownHash_;
   /// content hash -> chunk index of a full data frame in the base file.

@@ -1,8 +1,8 @@
 // Chunk-codec stage (pfs::CodecStorage): LZ block codec round trips,
 // logical byte-space equivalence against a plain MemStorage model,
 // reattach/scan recovery, dedup (in-file and cross-file) with ref
-// materialization, the codec-off byte-identity golden, and the obs
-// accounting contract.
+// materialization, the write-side dedup decided by bytes, the codec-off
+// byte-identity golden, and the obs accounting contract.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -13,6 +13,7 @@
 #include "src/dstream/dstream.h"
 #include "src/obs/obs.h"
 #include "src/pfs/codec.h"
+#include "src/util/crc32.h"
 #include "tests/common/test_helpers.h"
 
 namespace {
@@ -223,6 +224,124 @@ TEST(CodecStorage, CrossFileDedupVerifiesBaseContentOnRead) {
   EXPECT_GT(pfs::codecThreadStats().damagedChunks, damagedBefore);
 }
 
+// FNV-1a-64, the frame contentHash (docs/FORMAT.md "Chunk codec").
+std::uint64_t fnv1a64(std::span<const Byte> data) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const Byte b : data) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Rewrite the contentHash of the frame at `frameOffset` and re-seal its
+// header CRC: a checksum-clean frame whose hash lies about its payload.
+void forgeContentHash(pfs::StorageBackend& inner, std::uint64_t frameOffset,
+                      std::uint64_t hash) {
+  Byte h[pfs::CodecStorage::kFrameHeaderBytes];
+  ASSERT_EQ(inner.readAt(frameOffset, std::span<Byte>(h, sizeof h)), sizeof h);
+  encodeU64(hash, h + 24);
+  encodeU32(crc32(std::span<const Byte>(h, 36)), h + 36);
+  inner.writeAt(frameOffset, std::span<const Byte>(h, sizeof h));
+}
+
+// Frame kind byte (0 = data, 1 = ref) of chunk `index`.
+Byte frameKind(pfs::CodecStorage& codec, std::uint64_t index) {
+  Byte kind = 0xFF;
+  codec.inner().readAt(codec.frameOffset(index) + 4, std::span<Byte>(&kind, 1));
+  return kind;
+}
+
+// The writer's dedup decision is made by bytes alone: a nominated target
+// whose recorded hash matches but whose bytes differ must not become a ref.
+TEST(CodecStorage, WriteSideDedupIsDecidedByBytesForBaseNomination) {
+  pfs::CodecSpec spec;
+  spec.enabled = true;
+  spec.chunkBytes = 64;
+  const ByteBuffer stored = patternBytes(64, 5, true);
+  const ByteBuffer fresh = patternBytes(64, 8, true);
+
+  auto baseInner = std::make_shared<pfs::MemStorage>();
+  {
+    auto base = pfs::CodecStorage::create(baseInner, spec, nullptr);
+    base->writeAt(0, stored);
+    forgeContentHash(*baseInner, base->frameOffset(0), fnv1a64(fresh));
+  }
+
+  auto inner = std::make_shared<pfs::MemStorage>();
+  pfs::CodecSpec withBase = spec;
+  withBase.dedupBase = "epoch.0";
+  auto codec = pfs::CodecStorage::create(inner, withBase, baseInner);
+  const std::uint64_t hitsBefore = pfs::codecThreadStats().dedupHits;
+  codec->writeAt(0, fresh);
+  EXPECT_EQ(pfs::codecThreadStats().dedupHits, hitsBefore);
+  EXPECT_EQ(frameKind(*codec, 0), Byte{0});
+  ByteBuffer got(64);
+  ASSERT_EQ(codec->readAt(0, got), 64u);
+  EXPECT_EQ(got, fresh);
+  auto reopened = pfs::CodecStorage::attach(inner, baseInner);
+  ASSERT_EQ(reopened->readAt(0, got), 64u);
+  EXPECT_EQ(got, fresh);
+}
+
+TEST(CodecStorage, WriteSideDedupIsDecidedByBytesForOwnNomination) {
+  auto inner = std::make_shared<pfs::MemStorage>();
+  pfs::CodecSpec spec;
+  spec.enabled = true;
+  spec.chunkBytes = 64;
+  const ByteBuffer stored = patternBytes(64, 5, true);
+  const ByteBuffer fresh = patternBytes(64, 8, true);
+  {
+    auto codec = pfs::CodecStorage::create(inner, spec, nullptr);
+    codec->writeAt(0, stored);
+    forgeContentHash(*inner, codec->frameOffset(0), fnv1a64(fresh));
+  }
+  // The reattach scan takes the forged hash as chunk 0's nomination.
+  auto codec = pfs::CodecStorage::attach(inner, nullptr);
+  const std::uint64_t hitsBefore = pfs::codecThreadStats().dedupHits;
+  codec->writeAt(64, fresh);
+  EXPECT_EQ(pfs::codecThreadStats().dedupHits, hitsBefore);
+  EXPECT_EQ(frameKind(*codec, 1), Byte{0});
+  ByteBuffer got(64);
+  ASSERT_EQ(codec->readAt(0, got), 64u);
+  EXPECT_EQ(got, stored);
+  ASSERT_EQ(codec->readAt(64, got), 64u);
+  EXPECT_EQ(got, fresh);
+}
+
+TEST(CodecStorage, WriteSideDedupIsDecidedByBytesForMutatedBase) {
+  pfs::CodecSpec spec;
+  spec.enabled = true;
+  spec.chunkBytes = 64;
+  const ByteBuffer shared = patternBytes(64, 5, true);
+
+  auto baseInner = std::make_shared<pfs::MemStorage>();
+  {
+    auto base = pfs::CodecStorage::create(baseInner, spec, nullptr);
+    base->writeAt(0, shared);
+  }
+  auto inner = std::make_shared<pfs::MemStorage>();
+  pfs::CodecSpec withBase = spec;
+  withBase.dedupBase = "epoch.0";
+  auto codec = pfs::CodecStorage::create(inner, withBase, baseInner);
+  // The base changes after create(): the derived file's nomination for
+  // `shared` is now stale.
+  {
+    auto base = pfs::CodecStorage::attach(baseInner, nullptr);
+    base->writeAt(0, patternBytes(64, 6, true));
+  }
+  const std::uint64_t hitsBefore = pfs::codecThreadStats().dedupHits;
+  codec->writeAt(0, shared);
+  EXPECT_EQ(pfs::codecThreadStats().dedupHits, hitsBefore);
+  EXPECT_EQ(frameKind(*codec, 0), Byte{0});
+  ByteBuffer got(64);
+  ASSERT_EQ(codec->readAt(0, got), 64u);
+  EXPECT_EQ(got, shared);
+  auto reopened = pfs::CodecStorage::attach(inner, baseInner);
+  ASSERT_EQ(reopened->readAt(0, got), 64u);
+  EXPECT_EQ(got, shared);
+}
+
 // ---------------------------------------------------------------------------
 // Pfs / d-stream integration
 // ---------------------------------------------------------------------------
@@ -377,6 +496,35 @@ TEST_F(CodecFiles, ObsCountersAccountForCodecTraffic) {
   EXPECT_GT(stored, 0u);
   EXPECT_LT(stored, raw);  // repetitive doubles compress
   EXPECT_EQ(merged.counter(obs::Counter::PfsCodecDamagedChunks), 0u);
+}
+
+// pfs.codec_seconds covers the whole chunk seal, not only compression: a
+// write whose every chunk dedups (so nothing is compressed or decompressed)
+// still spends codec time hashing and comparing.
+TEST_F(CodecFiles, CodecSecondsCoverHashAndDedupCompare) {
+  obs::MetricsRegistry reg(1);
+  obs::Observer observer;
+  observer.metrics = &reg;
+  pfs::PfsConfig cfg;  // memory backend
+  cfg.codec.enabled = true;
+  cfg.codec.codec = pfs::CodecId::Raw;  // no (de)compression anywhere
+  cfg.codec.chunkBytes = 4096;
+  pfs::Pfs fs(cfg);
+  rt::Machine m(1);
+  m.attachObserver(observer);
+  const ByteBuffer chunk = patternBytes(4096, 3, false);
+  ByteBuffer twoChunks = chunk;
+  twoChunks.insert(twoChunks.end(), chunk.begin(), chunk.end());
+  double before = 0.0;
+  m.run([&](rt::Node& node) {
+    auto f = fs.open(node, "seconds.bin", pfs::OpenMode::Create);
+    f->writeAt(node, 0, chunk);
+    before = reg.snapshot().merged.timer(obs::Timer::PfsCodecSeconds);
+    f->writeAt(node, 4096, twoChunks);  // both chunks dedup against chunk 0
+  });
+  const obs::NodeSnapshot merged = reg.snapshot().merged;
+  EXPECT_EQ(merged.counter(obs::Counter::PfsCodecDedupHits), 2u);
+  EXPECT_GT(merged.timer(obs::Timer::PfsCodecSeconds), before);
 }
 
 TEST_F(CodecFiles, CheckpointDedupAcrossEpochsStoresRefsAndRestores) {
