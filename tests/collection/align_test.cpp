@@ -34,6 +34,10 @@ struct SpecCase {
   std::int64_t offset;
 };
 
+// Print the spec text rather than the raw bytes (which include the
+// literal's address), so test names stay the same from run to run.
+void PrintTo(const SpecCase& c, std::ostream* os) { *os << c.spec; }
+
 class AlignSpecTest : public ::testing::TestWithParam<SpecCase> {};
 
 TEST_P(AlignSpecTest, ParsesPaperSyntax) {
