@@ -898,7 +898,6 @@ bool IStream::redistributeLegacy(const RecordHeader& header,
 }
 
 void IStream::setupPrefetch() {
-#if PCXX_AIO_ENABLED
   if (opts_.aioPrefetchDepth <= 0) return;
   // The plan runs on the prefetch thread: thread-safe pfs entry points and
   // pure decoding only, never a Node. Everything it needs is captured by
@@ -985,7 +984,6 @@ void IStream::setupPrefetch() {
   prefetcher_ =
       std::make_unique<aio::Prefetcher>(node_->machine(), std::move(plan), po);
   restartPrefetch();
-#endif
 }
 
 void IStream::restartPrefetch() {

@@ -61,8 +61,7 @@ struct StreamOptions {
 
   // -- pcxx::aio overlap (see docs/ASYNC.md) ---------------------------------
   /// Output streams: write-behind queue depth (buffers in flight per node).
-  /// 0 = fully synchronous (today's path, byte-for-byte). Ignored when the
-  /// library is built with PCXX_AIO=OFF.
+  /// 0 = fully synchronous (today's path, byte-for-byte).
   int aioQueueDepth = 0;
   /// Input streams: records prefetched ahead per node. 0 = synchronous.
   int aioPrefetchDepth = 0;

@@ -1,6 +1,7 @@
 #include "pfs/parallel_file.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 
@@ -10,43 +11,6 @@
 #include "util/strfmt.h"
 
 namespace pcxx::pfs {
-namespace {
-
-// The chunk codec runs below the storage ops on whatever thread issues
-// them and accounts into thread-local counters; these helpers fold the
-// delta accumulated by one op into the issuing node's metrics (sync paths)
-// or the pipeline's BgIoStats (pcxx::aio threads), preserving the
-// owner-write discipline of both sinks.
-void foldCodecObs(rt::Node& node, const CodecThreadStats& before) {
-  const CodecThreadStats& now = codecThreadStats();
-  if (now.rawBytes != before.rawBytes)
-    PCXX_OBS_COUNT(node.obs(), PfsCodecRawBytes, now.rawBytes - before.rawBytes);
-  if (now.storedBytes != before.storedBytes)
-    PCXX_OBS_COUNT(node.obs(), PfsCodecStoredBytes,
-                   now.storedBytes - before.storedBytes);
-  if (now.dedupHits != before.dedupHits)
-    PCXX_OBS_COUNT(node.obs(), PfsCodecDedupHits,
-                   now.dedupHits - before.dedupHits);
-  if (now.damagedChunks != before.damagedChunks)
-    PCXX_OBS_COUNT(node.obs(), PfsCodecDamagedChunks,
-                   now.damagedChunks - before.damagedChunks);
-  if (now.seconds != before.seconds)
-    PCXX_OBS_SECONDS(node.obs(), PfsCodecSeconds, now.seconds - before.seconds);
-  (void)node;
-  (void)before;
-  (void)now;
-}
-
-void foldCodecBg(BgIoStats& stats, const CodecThreadStats& before) {
-  const CodecThreadStats& now = codecThreadStats();
-  stats.codecRawBytes += now.rawBytes - before.rawBytes;
-  stats.codecStoredBytes += now.storedBytes - before.storedBytes;
-  stats.codecDedupHits += now.dedupHits - before.dedupHits;
-  stats.codecDamagedChunks += now.damagedChunks - before.damagedChunks;
-  stats.codecSeconds += now.seconds - before.seconds;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // RetryPolicy
@@ -80,17 +44,87 @@ ParallelFile::ParallelFile(Pfs* fs, std::string fsName,
                            std::shared_ptr<StorageBackend> storage)
     : fs_(fs), name_(std::move(fsName)), storage_(std::move(storage)) {}
 
-std::uint64_t ParallelFile::performWrite(rt::Node& node, std::uint64_t offset,
-                                         std::span<const Byte> data) {
+// Where the retry driver's accounting lands. Node ops charge backoff to the
+// issuing node's VirtualClock and metrics; background ops (pcxx::aio
+// threads, which own no clock) charge it to the pipeline's BgIoStats, which
+// the owning node folds into its metrics at drain. The chunk codec runs
+// below the storage op on the issuing thread and accounts into thread-local
+// counters; the delta one op accumulated is folded into the same sink,
+// preserving the owner-write discipline of both.
+struct ParallelFile::IoSink {
+  rt::Node* node = nullptr;  ///< node ops
+  BgIoStats* bg = nullptr;   ///< background ops
+
+  void retry(double backoff) const {
+    if (node != nullptr) {
+      node->clock().advance(backoff);
+      PCXX_OBS_COUNT(node->obs(), PfsRetries, 1);
+      PCXX_OBS_SECONDS(node->obs(), PfsBackoffSeconds, backoff);
+    } else {
+      bg->retries += 1;
+      bg->backoffSeconds += backoff;
+    }
+  }
+
+  void giveUp() const {
+    if (node != nullptr) {
+      PCXX_OBS_COUNT(node->obs(), PfsGiveUps, 1);
+    } else {
+      bg->giveUps += 1;
+    }
+  }
+
+  void foldCodec(const CodecThreadStats& before) const {
+    const CodecThreadStats& now = codecThreadStats();
+    if (node == nullptr) {
+      bg->codecRawBytes += now.rawBytes - before.rawBytes;
+      bg->codecStoredBytes += now.storedBytes - before.storedBytes;
+      bg->codecDedupHits += now.dedupHits - before.dedupHits;
+      bg->codecDamagedChunks += now.damagedChunks - before.damagedChunks;
+      bg->codecSeconds += now.seconds - before.seconds;
+      return;
+    }
+    if (now.rawBytes != before.rawBytes)
+      PCXX_OBS_COUNT(node->obs(), PfsCodecRawBytes,
+                     now.rawBytes - before.rawBytes);
+    if (now.storedBytes != before.storedBytes)
+      PCXX_OBS_COUNT(node->obs(), PfsCodecStoredBytes,
+                     now.storedBytes - before.storedBytes);
+    if (now.dedupHits != before.dedupHits)
+      PCXX_OBS_COUNT(node->obs(), PfsCodecDedupHits,
+                     now.dedupHits - before.dedupHits);
+    if (now.damagedChunks != before.damagedChunks)
+      PCXX_OBS_COUNT(node->obs(), PfsCodecDamagedChunks,
+                     now.damagedChunks - before.damagedChunks);
+    if (now.seconds != before.seconds)
+      PCXX_OBS_SECONDS(node->obs(), PfsCodecSeconds,
+                       now.seconds - before.seconds);
+  }
+};
+
+std::uint64_t ParallelFile::transfer(OpKind kind, int nodeId,
+                                     std::uint64_t offset,
+                                     std::span<const Byte> data,
+                                     std::span<Byte> out, const IoSink& sink,
+                                     std::uint64_t* opIndex) {
+  const bool isWrite = kind == OpKind::Write;
+  const std::uint64_t size = isWrite ? data.size() : out.size();
   const RetryPolicy rp = fs_->retryPolicy();
-  const double start = node.clock().now();
+  const CodecThreadStats codecBefore = codecThreadStats();
+  // The deadline clock is the backoff this loop has charged: on node ops
+  // nothing else moves the node's VirtualClock between attempts (hooks and
+  // backends never see a Node), so this equals the clock's advance there,
+  // and background ops have no other clock.
+  double elapsed = 0.0;
   std::uint64_t done = 0;
-  std::uint64_t lastIndex = 0;
   std::exception_ptr lastError;
+  auto what = [&](const char* verb) {
+    std::string s = sink.node != nullptr ? "" : "background ";
+    return s.append(verb).append(" on '").append(name_).append("'");
+  };
   for (int attempt = 1;; ++attempt) {
-    const std::uint64_t want = data.size() - done;
+    const std::uint64_t want = size - done;
     const std::uint64_t index = fs_->opCounter_.fetch_add(1);
-    lastIndex = index;
     FaultHook hook;
     {
       std::lock_guard<std::mutex> lock(fs_->hookMu_);
@@ -99,8 +133,7 @@ std::uint64_t ParallelFile::performWrite(rt::Node& node, std::uint64_t offset,
     OpOutcome outcome{want, false};
     bool failed = false;
     if (hook) {
-      OpContext ctx{name_, OpKind::Write, offset + done, want, node.id(),
-                    index};
+      OpContext ctx{name_, kind, offset + done, want, nodeId, index};
       ctx.outcome = &outcome;
       try {
         hook(ctx);
@@ -112,257 +145,77 @@ std::uint64_t ParallelFile::performWrite(rt::Node& node, std::uint64_t offset,
       }
     }
     if (!failed) {
-      const std::uint64_t granted = std::min(outcome.completeBytes, want);
-      if (granted > 0) {
-        storage_->writeAt(offset + done,
-                          data.subspan(static_cast<size_t>(done),
-                                       static_cast<size_t>(granted)));
-        done += granted;
+      const std::uint64_t limit = std::min(outcome.completeBytes, want);
+      const auto at = static_cast<size_t>(done);
+      const auto len = static_cast<size_t>(limit);
+      std::uint64_t n = limit;
+      if (isWrite) {
+        if (limit > 0) storage_->writeAt(offset + done, data.subspan(at, len));
+      } else {
+        // A read crashes before its transfer; a write after its durable
+        // prefix landed.
+        if (outcome.crash) {
+          throw CrashInjected(strfmt("%s at op %llu", what("read").c_str(),
+                                     static_cast<unsigned long long>(index)));
+        }
+        n = storage_->readAt(offset + done, out.subspan(at, len));
       }
+      done += n;
       if (outcome.crash) {
         throw CrashInjected(strfmt(
-            "write on '%s' at op %llu: %llu of %llu bytes durable",
-            name_.c_str(), static_cast<unsigned long long>(index),
+            "%s at op %llu: %llu of %llu bytes durable",
+            what("write").c_str(), static_cast<unsigned long long>(index),
             static_cast<unsigned long long>(done),
-            static_cast<unsigned long long>(data.size())));
+            static_cast<unsigned long long>(size)));
       }
-      if (done == data.size()) return lastIndex;
+      if (done == size || n < limit) {
+        // Complete, or a true end-of-file (the backend granted less than
+        // the fault-free limit): not a fault.
+        sink.foldCodec(codecBefore);
+        *opIndex = index;
+        return done;
+      }
       lastError = nullptr;  // short completion, not an exception
     }
     // Transient failure or short completion: retry if the policy allows;
     // a retry resumes from the completed prefix.
-    if (attempt >= rp.maxAttempts ||
-        node.clock().now() - start >= rp.opDeadlineSeconds) {
-      PCXX_OBS_COUNT(node.obs(), PfsGiveUps, 1);
+    if (attempt >= rp.maxAttempts || elapsed >= rp.opDeadlineSeconds) {
+      sink.giveUp();
       if (lastError) std::rethrow_exception(lastError);
       throw IoError(strfmt(
-          "short write on '%s': only %llu of %llu bytes completed at "
-          "offset %llu",
-          name_.c_str(), static_cast<unsigned long long>(done),
-          static_cast<unsigned long long>(data.size()),
+          "short %s: only %llu of %llu bytes completed at offset %llu",
+          what(isWrite ? "write" : "read").c_str(),
+          static_cast<unsigned long long>(done),
+          static_cast<unsigned long long>(size),
           static_cast<unsigned long long>(offset)));
     }
-    const double backoff = rp.backoffFor(attempt, index, node.id());
-    node.clock().advance(backoff);
-    PCXX_OBS_COUNT(node.obs(), PfsRetries, 1);
-    PCXX_OBS_SECONDS(node.obs(), PfsBackoffSeconds, backoff);
-  }
-}
-
-std::uint64_t ParallelFile::performRead(rt::Node& node, std::uint64_t offset,
-                                        std::span<Byte> out,
-                                        std::uint64_t* got) {
-  const RetryPolicy rp = fs_->retryPolicy();
-  const double start = node.clock().now();
-  std::uint64_t done = 0;
-  std::uint64_t lastIndex = 0;
-  std::exception_ptr lastError;
-  for (int attempt = 1;; ++attempt) {
-    const std::uint64_t want = out.size() - done;
-    const std::uint64_t index = fs_->opCounter_.fetch_add(1);
-    lastIndex = index;
-    FaultHook hook;
-    {
-      std::lock_guard<std::mutex> lock(fs_->hookMu_);
-      hook = fs_->faultHook_;
-    }
-    OpOutcome outcome{want, false};
-    bool failed = false;
-    if (hook) {
-      OpContext ctx{name_, OpKind::Read, offset + done, want, node.id(),
-                    index};
-      ctx.outcome = &outcome;
-      try {
-        hook(ctx);
-      } catch (const CrashInjected&) {
-        throw;
-      } catch (const IoError&) {
-        failed = true;
-        lastError = std::current_exception();
-      }
-    }
-    if (!failed) {
-      if (outcome.crash) {
-        throw CrashInjected(strfmt("read on '%s' at op %llu", name_.c_str(),
-                                   static_cast<unsigned long long>(index)));
-      }
-      const std::uint64_t limit = std::min(outcome.completeBytes, want);
-      const std::uint64_t n =
-          storage_->readAt(offset + done,
-                           out.subspan(static_cast<size_t>(done),
-                                       static_cast<size_t>(limit)));
-      done += n;
-      if (done == out.size() || n < limit) {
-        // Complete, or a true end-of-file (the backend granted less than
-        // the fault-free limit): not a fault.
-        *got = done;
-        return lastIndex;
-      }
-      // n == limit < want: a hook-limited short read; retry the remainder.
-      lastError = nullptr;
-    }
-    if (attempt >= rp.maxAttempts ||
-        node.clock().now() - start >= rp.opDeadlineSeconds) {
-      PCXX_OBS_COUNT(node.obs(), PfsGiveUps, 1);
-      if (lastError) std::rethrow_exception(lastError);
-      throw IoError(strfmt(
-          "short read on '%s': only %llu of %llu bytes completed at "
-          "offset %llu",
-          name_.c_str(), static_cast<unsigned long long>(done),
-          static_cast<unsigned long long>(out.size()),
-          static_cast<unsigned long long>(offset)));
-    }
-    const double backoff = rp.backoffFor(attempt, index, node.id());
-    node.clock().advance(backoff);
-    PCXX_OBS_COUNT(node.obs(), PfsRetries, 1);
-    PCXX_OBS_SECONDS(node.obs(), PfsBackoffSeconds, backoff);
+    const double backoff = rp.backoffFor(attempt, index, nodeId);
+    elapsed += backoff;
+    sink.retry(backoff);
   }
 }
 
 void ParallelFile::writeAtBackground(int nodeId, std::uint64_t offset,
                                      std::span<const Byte> data,
                                      BgIoStats& stats) {
-  const RetryPolicy rp = fs_->retryPolicy();
-  const CodecThreadStats codecBefore = codecThreadStats();
-  const double start = stats.backoffSeconds;
-  std::uint64_t done = 0;
-  std::uint64_t lastIndex = 0;
-  std::exception_ptr lastError;
-  for (int attempt = 1;; ++attempt) {
-    const std::uint64_t want = data.size() - done;
-    const std::uint64_t index = fs_->opCounter_.fetch_add(1);
-    lastIndex = index;
-    FaultHook hook;
-    {
-      std::lock_guard<std::mutex> lock(fs_->hookMu_);
-      hook = fs_->faultHook_;
-    }
-    OpOutcome outcome{want, false};
-    bool failed = false;
-    if (hook) {
-      OpContext ctx{name_, OpKind::Write, offset + done, want, nodeId, index};
-      ctx.outcome = &outcome;
-      try {
-        hook(ctx);
-      } catch (const CrashInjected&) {
-        throw;  // fatal by contract; nothing of this attempt was applied
-      } catch (const IoError&) {
-        failed = true;
-        lastError = std::current_exception();
-      }
-    }
-    if (!failed) {
-      const std::uint64_t granted = std::min(outcome.completeBytes, want);
-      if (granted > 0) {
-        storage_->writeAt(offset + done,
-                          data.subspan(static_cast<size_t>(done),
-                                       static_cast<size_t>(granted)));
-        done += granted;
-      }
-      if (outcome.crash) {
-        throw CrashInjected(strfmt(
-            "background write on '%s' at op %llu: %llu of %llu bytes durable",
-            name_.c_str(), static_cast<unsigned long long>(index),
-            static_cast<unsigned long long>(done),
-            static_cast<unsigned long long>(data.size())));
-      }
-      if (done == data.size()) {
-        stats.writeOps += 1;
-        stats.bytesWritten += data.size();
-        foldCodecBg(stats, codecBefore);
-        runObserveHook(OpKind::Write, offset, data.size(), nodeId, lastIndex,
-                       0.0);
-        return;
-      }
-      lastError = nullptr;  // short completion, not an exception
-    }
-    // Transient failure or short completion: the accumulated modeled
-    // backoff stands in for the issuing node's clock in the deadline check.
-    if (attempt >= rp.maxAttempts ||
-        stats.backoffSeconds - start >= rp.opDeadlineSeconds) {
-      stats.giveUps += 1;
-      if (lastError) std::rethrow_exception(lastError);
-      throw IoError(strfmt(
-          "short background write on '%s': only %llu of %llu bytes "
-          "completed at offset %llu",
-          name_.c_str(), static_cast<unsigned long long>(done),
-          static_cast<unsigned long long>(data.size()),
-          static_cast<unsigned long long>(offset)));
-    }
-    stats.retries += 1;
-    stats.backoffSeconds += rp.backoffFor(attempt, index, nodeId);
-  }
+  std::uint64_t index = 0;
+  transfer(OpKind::Write, nodeId, offset, data, {}, IoSink{nullptr, &stats},
+           &index);
+  stats.writeOps += 1;
+  stats.bytesWritten += data.size();
+  runObserveHook(OpKind::Write, offset, data.size(), nodeId, index, 0.0);
 }
 
 std::uint64_t ParallelFile::readAtBackground(int nodeId, std::uint64_t offset,
                                              std::span<Byte> out,
                                              BgIoStats& stats) {
-  const RetryPolicy rp = fs_->retryPolicy();
-  const CodecThreadStats codecBefore = codecThreadStats();
-  const double start = stats.backoffSeconds;
-  std::uint64_t done = 0;
-  std::uint64_t lastIndex = 0;
-  std::exception_ptr lastError;
-  for (int attempt = 1;; ++attempt) {
-    const std::uint64_t want = out.size() - done;
-    const std::uint64_t index = fs_->opCounter_.fetch_add(1);
-    lastIndex = index;
-    FaultHook hook;
-    {
-      std::lock_guard<std::mutex> lock(fs_->hookMu_);
-      hook = fs_->faultHook_;
-    }
-    OpOutcome outcome{want, false};
-    bool failed = false;
-    if (hook) {
-      OpContext ctx{name_, OpKind::Read, offset + done, want, nodeId, index};
-      ctx.outcome = &outcome;
-      try {
-        hook(ctx);
-      } catch (const CrashInjected&) {
-        throw;
-      } catch (const IoError&) {
-        failed = true;
-        lastError = std::current_exception();
-      }
-    }
-    if (!failed) {
-      if (outcome.crash) {
-        throw CrashInjected(strfmt("background read on '%s' at op %llu",
-                                   name_.c_str(),
-                                   static_cast<unsigned long long>(index)));
-      }
-      const std::uint64_t limit = std::min(outcome.completeBytes, want);
-      const std::uint64_t n =
-          storage_->readAt(offset + done,
-                           out.subspan(static_cast<size_t>(done),
-                                       static_cast<size_t>(limit)));
-      done += n;
-      if (done == out.size() || n < limit) {
-        // Complete, or a true end-of-file: not a fault.
-        stats.readOps += 1;
-        stats.bytesRead += done;
-        foldCodecBg(stats, codecBefore);
-        runObserveHook(OpKind::Read, offset, out.size(), nodeId, lastIndex,
-                       0.0);
-        return done;
-      }
-      lastError = nullptr;
-    }
-    if (attempt >= rp.maxAttempts ||
-        stats.backoffSeconds - start >= rp.opDeadlineSeconds) {
-      stats.giveUps += 1;
-      if (lastError) std::rethrow_exception(lastError);
-      throw IoError(strfmt(
-          "short background read on '%s': only %llu of %llu bytes "
-          "completed at offset %llu",
-          name_.c_str(), static_cast<unsigned long long>(done),
-          static_cast<unsigned long long>(out.size()),
-          static_cast<unsigned long long>(offset)));
-    }
-    stats.retries += 1;
-    stats.backoffSeconds += rp.backoffFor(attempt, index, nodeId);
-  }
+  std::uint64_t index = 0;
+  const std::uint64_t got = transfer(OpKind::Read, nodeId, offset, {}, out,
+                                     IoSink{nullptr, &stats}, &index);
+  stats.readOps += 1;
+  stats.bytesRead += got;
+  runObserveHook(OpKind::Read, offset, out.size(), nodeId, index, 0.0);
+  return got;
 }
 
 void ParallelFile::runObserveHook(OpKind kind, std::uint64_t offset,
@@ -387,9 +240,8 @@ void ParallelFile::writeAt(rt::Node& node, std::uint64_t offset,
   PCXX_OBS_COUNT(node.obs(), PfsWriteBytes, data.size());
   PCXX_OBS_HIST(node.obs(), PfsWriteSize, data.size());
   const double t0 = node.clock().now();
-  const CodecThreadStats codecBefore = codecThreadStats();
-  const std::uint64_t index = performWrite(node, offset, data);
-  foldCodecObs(node, codecBefore);
+  std::uint64_t index = 0;
+  transfer(OpKind::Write, node.id(), offset, data, {}, IoSink{&node}, &index);
   const std::uint64_t cum = cumWritten_.fetch_add(data.size()) + data.size();
   fs_->model_.chargeIndependentOp(node, offset, data.size(), storage_->size(),
                                   cum, /*isWrite=*/true);
@@ -404,10 +256,9 @@ std::uint64_t ParallelFile::readAt(rt::Node& node, std::uint64_t offset,
   PCXX_OBS_COUNT(node.obs(), PfsReadBytes, out.size());
   PCXX_OBS_HIST(node.obs(), PfsReadSize, out.size());
   const double t0 = node.clock().now();
-  std::uint64_t n = 0;
-  const CodecThreadStats codecBefore = codecThreadStats();
-  const std::uint64_t index = performRead(node, offset, out, &n);
-  foldCodecObs(node, codecBefore);
+  std::uint64_t index = 0;
+  const std::uint64_t n =
+      transfer(OpKind::Read, node.id(), offset, {}, out, IoSink{&node}, &index);
   fs_->model_.chargeIndependentOp(node, offset, out.size(), storage_->size(),
                                   cumWritten_.load(), /*isWrite=*/false);
   runObserveHook(OpKind::Read, offset, out.size(), node.id(), index,
@@ -442,9 +293,9 @@ std::uint64_t ParallelFile::writeOrdered(rt::Node& node,
     total += sizes[static_cast<size_t>(i)];
     maxNode = std::max(maxNode, sizes[static_cast<size_t>(i)]);
   }
-  const CodecThreadStats codecBefore = codecThreadStats();
-  const std::uint64_t index = performWrite(node, myOffset, myBlock);
-  foldCodecObs(node, codecBefore);
+  std::uint64_t index = 0;
+  transfer(OpKind::Write, node.id(), myOffset, myBlock, {}, IoSink{&node},
+           &index);
 
   // All nodes complete the collective transfer together; charge the modeled
   // duration uniformly (the collective below also synchronizes clocks).
@@ -517,10 +368,9 @@ std::uint64_t ParallelFile::readOrdered(rt::Node& node,
     total += sizes[static_cast<size_t>(i)];
     maxNode = std::max(maxNode, sizes[static_cast<size_t>(i)]);
   }
-  std::uint64_t got = 0;
-  const CodecThreadStats codecBefore = codecThreadStats();
-  const std::uint64_t index = performRead(node, myOffset, myBlock, &got);
-  foldCodecObs(node, codecBefore);
+  std::uint64_t index = 0;
+  const std::uint64_t got = transfer(OpKind::Read, node.id(), myOffset, {},
+                                     myBlock, IoSink{&node}, &index);
   const bool shortRead = got != myBlock.size();
 
   node.barrier();
@@ -768,8 +618,20 @@ void Pfs::setObserveHook(FaultHook hook) {
 }
 
 void Pfs::setRetryPolicy(RetryPolicy policy) {
+  const auto finiteNonNegative = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
   PCXX_REQUIRE(policy.maxAttempts >= 1,
                "RetryPolicy needs at least one attempt");
+  PCXX_REQUIRE(finiteNonNegative(policy.backoffBase) &&
+                   finiteNonNegative(policy.backoffFactor) &&
+                   finiteNonNegative(policy.backoffMax),
+               "RetryPolicy backoff base, factor and max must be finite and "
+               ">= 0");
+  PCXX_REQUIRE(policy.jitter >= 0.0 && policy.jitter <= 1.0,
+               "RetryPolicy jitter must be in [0, 1]");
+  PCXX_REQUIRE(finiteNonNegative(policy.opDeadlineSeconds),
+               "RetryPolicy deadline must be finite and >= 0");
   std::lock_guard<std::mutex> lock(hookMu_);
   retryPolicy_ = policy;
 }

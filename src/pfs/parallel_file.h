@@ -55,14 +55,15 @@ enum class OpenMode {
 
 /// Bounded-retry policy for transient storage failures (Pfs::setRetryPolicy).
 ///
-/// A transient IoError (thrown by a fault hook or the storage backend) is
-/// retried up to maxAttempts total tries; each retry first charges an
-/// exponential backoff with deterministic jitter to the issuing node's
-/// VirtualClock, so retried runs show the delay in modeled time. A short
-/// completion (a hook granting only k of n bytes) resumes from the
-/// completed prefix rather than re-transferring it. CrashInjected and
-/// non-IoError exceptions are fatal and never retried. An op that exhausts
-/// its attempts or its modeled-time deadline rethrows the last failure.
+/// A transient IoError thrown by the fault hook is retried up to
+/// maxAttempts total tries; each retry first charges an exponential backoff
+/// with deterministic jitter — to the issuing node's VirtualClock for node
+/// ops, to the pipeline's BgIoStats for background ops — so retried runs
+/// show the delay in modeled time. A short completion (a hook granting only
+/// k of n bytes) resumes from the completed prefix rather than
+/// re-transferring it. CrashInjected and non-IoError exceptions are fatal
+/// and never retried. An op that exhausts its attempts or its deadline
+/// rethrows the last failure.
 struct RetryPolicy {
   /// Total tries per op (1 = no retries; the default Pfs behavior).
   int maxAttempts = 1;
@@ -75,8 +76,8 @@ struct RetryPolicy {
   /// backoffMax cap applies AFTER jitter: the returned backoff never
   /// exceeds backoffMax.
   double jitter = 0.1;
-  /// Give up once an op's modeled elapsed time (including backoff) exceeds
-  /// this many virtual seconds.
+  /// Give up once an op's accumulated modeled backoff reaches this many
+  /// virtual seconds.
   double opDeadlineSeconds = 60.0;
   std::uint64_t seed = 0;
 
@@ -88,10 +89,10 @@ struct RetryPolicy {
 class Pfs;
 
 /// Accounting for storage ops issued by background (pcxx::aio) threads,
-/// which own no VirtualClock: modeled backoff accumulates here (doubling as
-/// the per-op retry deadline clock) and the owning node folds the totals
-/// into its metrics when it drains the pipeline. One instance per pipeline;
-/// written only by that pipeline's background thread.
+/// which own no VirtualClock: modeled backoff accumulates here and the
+/// owning node folds the totals into its metrics when it drains the
+/// pipeline. One instance per pipeline; written only by that pipeline's
+/// background thread.
 struct BgIoStats {
   std::uint64_t writeOps = 0;
   std::uint64_t readOps = 0;
@@ -201,14 +202,18 @@ class ParallelFile {
   ParallelFile(Pfs* fs, std::string fsName,
                std::shared_ptr<StorageBackend> storage);
 
-  /// One storage write with fault hook, retry/backoff, and short-completion
-  /// resumption applied. Returns the op index of the last attempt.
-  std::uint64_t performWrite(rt::Node& node, std::uint64_t offset,
-                             std::span<const Byte> data);
-  /// Read counterpart; `*got` receives the bytes read (fewer than requested
-  /// only at end of file). Returns the op index of the last attempt.
-  std::uint64_t performRead(rt::Node& node, std::uint64_t offset,
-                            std::span<Byte> out, std::uint64_t* got);
+  /// Where the retry driver's accounting lands (defined in the .cpp).
+  struct IoSink;
+
+  /// The one retry driver behind every storage access: a write of `data`
+  /// (kind Write) or a read into `out` (kind Read) at `offset` on behalf of
+  /// `nodeId`, with the fault hook, retry/backoff, short-completion
+  /// resumption and codec-stat fold applied. Returns the bytes transferred
+  /// (fewer than requested only for a read at end of file); `*opIndex`
+  /// receives the op index of the last attempt.
+  std::uint64_t transfer(OpKind kind, int nodeId, std::uint64_t offset,
+                         std::span<const Byte> data, std::span<Byte> out,
+                         const IoSink& sink, std::uint64_t* opIndex);
   /// Runs the observe hook (post-op) with the modeled duration.
   void runObserveHook(OpKind kind, std::uint64_t offset, std::uint64_t bytes,
                       int nodeId, std::uint64_t opIndex, double duration);
@@ -272,7 +277,9 @@ class Pfs {
 
   /// Install the retry policy applied to every storage read/write issued
   /// through this file system. The default ({}, maxAttempts = 1) retries
-  /// nothing.
+  /// nothing. Throws UsageError unless maxAttempts >= 1, backoffBase,
+  /// backoffFactor, backoffMax and opDeadlineSeconds are finite and >= 0,
+  /// and jitter is in [0, 1] — so no backoff is ever negative.
   void setRetryPolicy(RetryPolicy policy);
   RetryPolicy retryPolicy() const;
 
