@@ -44,6 +44,20 @@ run_config() {
   echo "=== [${name}] test ==="
   ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}"
   if [ "${name}" = "default" ]; then
+    # Record-walker guard: ds::RecordCursor alone decides whether bytes
+    # form a record, so decoding a header anywhere else in src/ means a
+    # new hand-written chain walker.
+    echo "=== [${name}] record walker guard ==="
+    local walkers
+    walkers="$(grep -rn 'RecordHeader::encodedLength(\|RecordHeader::decode(' \
+      "${repo_root}/src" |
+      grep -v '/src/dstream/record\.cpp:\|/src/dstream/record_cursor\.cpp:' ||
+      true)"
+    if [ -n "${walkers}" ]; then
+      echo "record walker guard: decode headers through ds::RecordCursor" >&2
+      echo "${walkers}" >&2
+      return 1
+    fi
     echo "=== [${name}] lint ==="
     cmake --build "${build_dir}" --target lint
     # dslint gate: the SARIF report over src/ + examples/ (written by the

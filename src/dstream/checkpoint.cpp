@@ -121,21 +121,21 @@ bool CheckpointManager::tryRestore(
   if (!fs_->exists(epochFileName(epoch))) return false;
   auto f = fs_->open(node, epochFileName(epoch), pfs::OpenMode::Read);
 
-  // Node 0 validates the file STRUCTURE offline first (framing, header
-  // CRCs, size-table consistency) so that a damaged epoch is rejected by a
-  // consistent collective decision rather than by nodes failing at
-  // different points inside collective reads.
+  // Node 0 validates the file STRUCTURE first (framing, header CRCs,
+  // size-table sums) with the strict cursor walk, reading headers and size
+  // tables in place, so that a damaged epoch is rejected by a consistent
+  // collective decision rather than by nodes failing at different points
+  // inside collective reads.
   std::uint64_t ok = 0;
   if (node.id() == 0) {
     try {
-      ByteBuffer all(static_cast<size_t>(f->size()));
-      if (f->readAt(node, 0, all) == all.size()) {
-        pfs::MemStorage image;
-        image.writeAt(0, all);
-        const FileInfo info = inspectFile(image);
-        ok = !info.records.empty() &&
-             info.records[0].header.elementCount() == layout.size();
-      }
+      const FileInfo info = inspectFile(
+          [&](std::uint64_t offset, std::span<Byte> out) {
+            return f->readAt(node, offset, out);
+          },
+          f->size());
+      ok = !info.records.empty() &&
+           info.records[0].header.elementCount() == layout.size();
     } catch (const Error& e) {
       PCXX_LOG_WARN("checkpoint epoch %llu failed validation: %s",
                     static_cast<unsigned long long>(epoch), e.what());

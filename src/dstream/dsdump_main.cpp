@@ -27,14 +27,12 @@ pcxx::dsindex::FileIndex rebuildIndex(
     std::uint64_t validPrefixEnd) {
   pcxx::dsindex::FileIndex index;
   for (const pcxx::ds::RecordInfo& rec : records) {
-    const std::uint64_t recordEnd =
-        rec.dataOffset + rec.header.dataBytes + rec.header.trailerBytes();
-    if (recordEnd > validPrefixEnd) continue;
+    if (rec.end > validPrefixEnd) continue;
     pcxx::dsindex::IndexEntry entry;
     entry.offset = rec.offset;
     entry.headerBytes = static_cast<std::uint32_t>(rec.headerBytes);
     entry.recordFlags = rec.header.flags;
-    entry.recordBytes = recordEnd - rec.offset;
+    entry.recordBytes = rec.end - rec.offset;
     entry.dataBytes = rec.header.dataBytes;
     pcxx::ByteBuffer enc;
     pcxx::ByteWriter w(enc);

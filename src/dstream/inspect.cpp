@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <filesystem>
 #include <numeric>
-#include <optional>
 #include <sstream>
 
 #include "collection/distribution.h"
 #include "pfs/codec.h"
-#include "util/crc32.h"
 #include "util/error.h"
 #include "util/strfmt.h"
 
@@ -31,14 +29,55 @@ std::uint64_t RecordInfo::totalDataBytes() const {
 
 namespace {
 
-// Probe the dsindex footer through a StorageBackend (the offline analogue of
-// the IStream probe through ParallelFile).
-dsindex::ProbeResult probeStorage(pfs::StorageBackend& storage) {
-  return dsindex::probeFooter(
-      [&storage](std::uint64_t offset, std::span<Byte> out) {
-        return storage.readAt(offset, out);
-      },
-      storage.size(), kFileHeaderBytes);
+dsindex::ReadFn storageReader(pfs::StorageBackend& storage) {
+  return [&storage](std::uint64_t offset, std::span<Byte> out) {
+    return storage.readAt(offset, out);
+  };
+}
+
+void readFileHeader(const dsindex::ReadFn& read) {
+  ByteBuffer fileHeader(kFileHeaderBytes);
+  if (read(0, fileHeader) != kFileHeaderBytes) {
+    throw FormatError("file too short for a d/stream file header");
+  }
+  verifyFileHeader(fileHeader);
+}
+
+// The strict walk: any damage throws, and a valid footer is used as a
+// header-length hint and then held to its word — every entry must agree
+// with the record actually found at its offset.
+FileInfo strictWalk(const dsindex::ReadFn& read, std::uint64_t fileBytes,
+                    const dsindex::ProbeResult& probe) {
+  FileInfo info;
+  info.fileBytes = fileBytes;
+  info.indexed = probe.status == dsindex::ProbeStatus::Valid;
+  const RecordCursor cursor(read, RecordCursor::chainEndOf(probe, fileBytes),
+                            info.indexed ? &probe.index : nullptr);
+  info.footerOffset = cursor.chainEnd();
+  for (std::uint64_t pos = kFileHeaderBytes; pos < cursor.chainEnd();) {
+    RecordStep step = cursor.next(pos);
+    step.throwIfDamaged();
+    pos = step.resumeAt;
+    info.records.push_back(
+        RecordInfo{std::move(*step.frame), std::move(step.sizes)});
+  }
+  if (info.indexed) {
+    const auto& entries = probe.index.entries;
+    if (entries.size() != info.records.size()) {
+      throw FormatError(strfmt(
+          "index footer lists %zu record(s) but the chain holds %zu",
+          entries.size(), info.records.size()));
+    }
+    for (size_t i = 0; i < entries.size(); ++i) {
+      if (entries[i].offset != info.records[i].offset ||
+          entries[i].headerBytes != info.records[i].headerBytes ||
+          entries[i].dataBytes != info.records[i].header.dataBytes) {
+        throw FormatError(
+            strfmt("index footer entry %zu disagrees with record %zu", i, i));
+      }
+    }
+  }
+  return info;
 }
 
 }  // namespace
@@ -60,98 +99,20 @@ std::shared_ptr<pfs::StorageBackend> openInspectStorage(
       });
 }
 
-FileInfo inspectFile(pfs::StorageBackend& storage) {
-  FileInfo info;
-  info.fileBytes = storage.size();
-  info.footerOffset = info.fileBytes;
-
-  ByteBuffer fileHeader(kFileHeaderBytes);
-  if (storage.readAt(0, fileHeader) != kFileHeaderBytes) {
-    throw FormatError("file too short for a d/stream file header");
-  }
-  verifyFileHeader(fileHeader);
-
-  // A valid footer bounds the record walk (its bytes are not records); a
-  // self-checksummed trailer over a corrupt body still pins the chain end,
-  // but strict inspection rejects the file outright.
-  const dsindex::ProbeResult probe = probeStorage(storage);
+FileInfo inspectFile(const dsindex::ReadFn& read, std::uint64_t fileBytes) {
+  readFileHeader(read);
+  // A self-checksummed trailer over a corrupt body would still pin the
+  // chain end, but strict inspection rejects the file outright.
+  const dsindex::ProbeResult probe =
+      dsindex::probeFooter(read, fileBytes, kFileHeaderBytes);
   if (probe.status == dsindex::ProbeStatus::Corrupt) {
     throw FormatError("corrupt index footer: " + probe.reason);
   }
-  if (probe.status == dsindex::ProbeStatus::Valid) {
-    info.indexed = true;
-    info.footerOffset = probe.footerOffset;
-  }
+  return strictWalk(read, fileBytes, probe);
+}
 
-  std::uint64_t pos = kFileHeaderBytes;
-  while (pos < info.footerOffset) {
-    Byte prefix[8];
-    if (storage.readAt(pos, prefix) != 8) {
-      throw FormatError("truncated record header prefix at offset " +
-                        std::to_string(pos));
-    }
-    const std::uint64_t headerLen = RecordHeader::encodedLength(prefix);
-    ByteBuffer headerBytes(static_cast<size_t>(headerLen));
-    if (storage.readAt(pos, headerBytes) != headerLen) {
-      throw FormatError("truncated record header at offset " +
-                        std::to_string(pos));
-    }
-    RecordInfo rec{RecordHeader::decode(headerBytes), pos, headerLen, 0, {}};
-
-    // Size table.
-    const std::uint64_t tableOffset = pos + rec.headerBytes;
-    const std::uint64_t tableBytes = rec.header.sizeTableBytes();
-    ByteBuffer table(static_cast<size_t>(tableBytes));
-    if (storage.readAt(tableOffset, table) != tableBytes) {
-      throw FormatError("truncated size table at offset " +
-                        std::to_string(tableOffset));
-    }
-    rec.elementSizes.resize(static_cast<size_t>(rec.header.elementCount()));
-    for (size_t i = 0; i < rec.elementSizes.size(); ++i) {
-      rec.elementSizes[i] = decodeU64(table.data() + 8 * i);
-    }
-    rec.dataOffset = tableOffset + tableBytes;
-
-    // Cross-check the size table against the header's dataBytes.
-    if (rec.totalDataBytes() != rec.header.dataBytes) {
-      throw FormatError(strfmt(
-          "record %u: size table sums to %llu bytes but header declares "
-          "%llu",
-          rec.header.seq,
-          static_cast<unsigned long long>(rec.totalDataBytes()),
-          static_cast<unsigned long long>(rec.header.dataBytes)));
-    }
-    const std::uint64_t recordEnd =
-        rec.dataOffset + rec.header.dataBytes + rec.header.trailerBytes();
-    if (recordEnd > info.footerOffset) {
-      throw FormatError(strfmt(
-          "record %u: data section extends past end of chain (%llu > %llu)",
-          rec.header.seq, static_cast<unsigned long long>(recordEnd),
-          static_cast<unsigned long long>(info.footerOffset)));
-    }
-    info.records.push_back(std::move(rec));
-    pos = recordEnd;
-  }
-
-  // Strict mode also holds the footer to its word: every entry must agree
-  // with the record actually found at its offset.
-  if (info.indexed) {
-    const auto& entries = probe.index.entries;
-    if (entries.size() != info.records.size()) {
-      throw FormatError(strfmt(
-          "index footer lists %zu record(s) but the chain holds %zu",
-          entries.size(), info.records.size()));
-    }
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (entries[i].offset != info.records[i].offset ||
-          entries[i].headerBytes != info.records[i].headerBytes ||
-          entries[i].dataBytes != info.records[i].header.dataBytes) {
-        throw FormatError(
-            strfmt("index footer entry %zu disagrees with record %zu", i, i));
-      }
-    }
-  }
-  return info;
+FileInfo inspectFile(pfs::StorageBackend& storage) {
+  return inspectFile(storageReader(storage), storage.size());
 }
 
 FileInfo inspectFile(const std::string& path) {
@@ -160,120 +121,41 @@ FileInfo inspectFile(const std::string& path) {
 }
 
 ScanResult scanFile(pfs::StorageBackend& storage) {
+  const dsindex::ReadFn read = storageReader(storage);
+  readFileHeader(read);
+  const std::uint64_t fileBytes = storage.size();
+  // A footer whose trailer checksum fails leaves the walk unbounded; its
+  // bytes then surface as ordinary tail damage below.
+  const dsindex::ProbeResult probe =
+      dsindex::probeFooter(read, fileBytes, kFileHeaderBytes);
+  const RecordCursor cursor(read, RecordCursor::chainEndOf(probe, fileBytes));
+  const std::uint64_t walkEnd = cursor.chainEnd();
+
   ScanResult result;
-  result.info.fileBytes = storage.size();
-  result.info.footerOffset = result.info.fileBytes;
+  result.info.fileBytes = fileBytes;
+  result.info.footerOffset = walkEnd;
+  result.info.indexed = probe.status == dsindex::ProbeStatus::Valid;
   result.validPrefixEnd = kFileHeaderBytes;
 
-  ByteBuffer fileHeader(kFileHeaderBytes);
-  if (storage.readAt(0, fileHeader) != kFileHeaderBytes) {
-    throw FormatError("file too short for a d/stream file header");
-  }
-  verifyFileHeader(fileHeader);
-
-  // Bound the record walk at the footer when its self-checksummed trailer
-  // is intact — even a corrupt footer body still pins the chain end. A
-  // footer whose trailer checksum fails leaves the walk unbounded; its
-  // bytes then surface as ordinary tail damage below.
-  const dsindex::ProbeResult probe = probeStorage(storage);
-  if (probe.haveFooterOffset) {
-    result.info.footerOffset = probe.footerOffset;
-    result.info.indexed = probe.status == dsindex::ProbeStatus::Valid;
-  }
-
-  const std::uint64_t fileBytes = result.info.fileBytes;
-  const std::uint64_t walkEnd = result.info.footerOffset;
   bool prefixIntact = true;
   std::uint64_t pos = kFileHeaderBytes;
-
-  // A torn tail ends the walk: without intact framing nothing behind the
-  // damage can be located.
-  const auto tornTail = [&](const char* reason) {
-    result.report.recordsLost += 1;
-    result.report.damage.push_back(
-        DamagedRange{pos, walkEnd - pos, reason});
-  };
-  // A damaged record with intact framing is skipped; the walk continues at
-  // `next`.
-  const auto damagedRecord = [&](std::uint64_t next, const char* reason) {
-    result.report.recordsLost += 1;
-    result.report.damage.push_back(DamagedRange{pos, next - pos, reason});
-    prefixIntact = false;
-    pos = next;
-  };
-
   while (pos < walkEnd) {
-    Byte prefix[8];
-    if (storage.readAt(pos, prefix) != 8) {
-      tornTail("truncated record header prefix");
-      break;
-    }
-    std::uint64_t headerLen = 0;
-    try {
-      headerLen = RecordHeader::encodedLength(prefix);
-    } catch (const FormatError&) {
-      tornTail("invalid record header prefix");
-      break;
-    }
-    ByteBuffer headerBytes(static_cast<size_t>(headerLen));
-    if (storage.readAt(pos, headerBytes) != headerLen) {
-      tornTail("truncated record header");
-      break;
-    }
-    std::optional<RecordHeader> header;
-    try {
-      header = RecordHeader::decode(headerBytes);
-    } catch (const FormatError&) {
-      tornTail("record header checksum mismatch");
-      break;
-    }
-
-    RecordInfo rec{std::move(*header), pos, headerLen, 0, {}};
-    const std::uint64_t tableOffset = pos + rec.headerBytes;
-    const std::uint64_t tableBytes = rec.header.sizeTableBytes();
-    rec.dataOffset = tableOffset + tableBytes;
-    const std::uint64_t recordEnd =
-        rec.dataOffset + rec.header.dataBytes + rec.header.trailerBytes();
-    if (recordEnd > walkEnd) {
-      tornTail("record extends past end of chain");
-      break;
-    }
-
-    ByteBuffer table(static_cast<size_t>(tableBytes));
-    if (storage.readAt(tableOffset, table) != tableBytes) {
-      tornTail("truncated size table");
-      break;
-    }
-    rec.elementSizes.resize(static_cast<size_t>(rec.header.elementCount()));
-    for (size_t i = 0; i < rec.elementSizes.size(); ++i) {
-      rec.elementSizes[i] = decodeU64(table.data() + 8 * i);
-    }
-    if (rec.totalDataBytes() != rec.header.dataBytes) {
-      // The header (CRC-verified) still frames the record, so the walk can
-      // continue behind it.
-      damagedRecord(recordEnd, "size table inconsistent with record header");
+    RecordStep step = cursor.next(pos);
+    if (step.ok()) cursor.checkData(step);
+    if (!step.ok()) {
+      result.report.recordsLost += 1;
+      result.report.damage.push_back(step.range());
+      // Without intact framing nothing behind the damage can be located.
+      if (step.damage == Damage::TornTail) break;
+      prefixIntact = false;
+      pos = step.resumeAt;
       continue;
     }
-
-    if (rec.header.hasDataCrc()) {
-      ByteBuffer data(static_cast<size_t>(rec.header.dataBytes));
-      ByteBuffer trailer(4);
-      if (storage.readAt(rec.dataOffset, data) != data.size() ||
-          storage.readAt(rec.dataOffset + rec.header.dataBytes, trailer) !=
-              4) {
-        tornTail("truncated data section");
-        break;
-      }
-      if (crc32(data) != decodeU32(trailer.data())) {
-        damagedRecord(recordEnd, "data checksum mismatch");
-        continue;
-      }
-    }
-
     result.report.recordsRecovered += 1;
-    result.info.records.push_back(std::move(rec));
-    pos = recordEnd;
-    if (prefixIntact) result.validPrefixEnd = recordEnd;
+    pos = step.resumeAt;
+    result.info.records.push_back(
+        RecordInfo{std::move(*step.frame), std::move(step.sizes)});
+    if (prefixIntact) result.validPrefixEnd = pos;
   }
 
   if (probe.haveFooterOffset) {
@@ -298,77 +180,28 @@ ScanResult scanFile(const std::string& path) {
 
 ScanResult verifyFile(pfs::StorageBackend& storage, bool deep) {
   if (deep) return scanFile(storage);
-  const dsindex::ProbeResult probe = probeStorage(storage);
-  if (probe.status != dsindex::ProbeStatus::Valid) {
-    // No usable index (or a corrupt one): the deep scan owns both the walk
-    // and the damage accounting.
-    return scanFile(storage);
-  }
+  const dsindex::ReadFn read = storageReader(storage);
+  readFileHeader(read);
+  const dsindex::ProbeResult probe =
+      dsindex::probeFooter(read, storage.size(), kFileHeaderBytes);
+  // No usable index (or a corrupt one): the deep scan owns both the walk
+  // and the damage accounting.
+  if (probe.status != dsindex::ProbeStatus::Valid) return scanFile(storage);
 
-  // O(index) fast path: for each footer entry, read only the record's
-  // header (CRC-verified by decode) and size table, and hold them against
-  // the entry. The data payloads — virtually all of the file — stay
-  // untouched. Any disagreement means the footer cannot be trusted as a
-  // verification transcript, so the deep scan takes over.
+  // O(index) path: the strict walk reads only headers and size tables —
+  // the data payloads, virtually all of the file, stay untouched — and
+  // holds them against the footer. Any damage or disagreement means the
+  // footer cannot be trusted as a verification transcript, so the deep
+  // scan takes over.
+  ScanResult result;
   try {
-    ScanResult result;
-    result.info.fileBytes = storage.size();
-    result.info.indexed = true;
-    result.info.footerOffset = probe.footerOffset;
-
-    ByteBuffer fileHeader(kFileHeaderBytes);
-    if (storage.readAt(0, fileHeader) != kFileHeaderBytes) {
-      throw FormatError("file too short for a d/stream file header");
-    }
-    verifyFileHeader(fileHeader);
-
-    for (const dsindex::IndexEntry& entry : probe.index.entries) {
-      // A CRC-valid footer can still lie; never size a span past the
-      // buffer the entry actually bought.
-      if (entry.headerBytes < 8) {
-        throw FormatError("index entry header length too small");
-      }
-      ByteBuffer headerBytes(entry.headerBytes);
-      if (storage.readAt(entry.offset, headerBytes) != entry.headerBytes) {
-        throw FormatError("truncated record header");
-      }
-      if (RecordHeader::encodedLength(
-              std::span<const Byte>(headerBytes.data(), 8)) !=
-          entry.headerBytes) {
-        throw FormatError("header length disagrees with index entry");
-      }
-      RecordInfo rec{RecordHeader::decode(headerBytes), entry.offset,
-                     entry.headerBytes, 0, {}};
-      if (rec.header.dataBytes != entry.dataBytes) {
-        throw FormatError("record data size disagrees with index entry");
-      }
-      const std::uint64_t tableOffset = entry.offset + entry.headerBytes;
-      const std::uint64_t tableBytes = rec.header.sizeTableBytes();
-      ByteBuffer table(static_cast<size_t>(tableBytes));
-      if (storage.readAt(tableOffset, table) != tableBytes) {
-        throw FormatError("truncated size table");
-      }
-      rec.elementSizes.resize(static_cast<size_t>(rec.header.elementCount()));
-      for (size_t i = 0; i < rec.elementSizes.size(); ++i) {
-        rec.elementSizes[i] = decodeU64(table.data() + 8 * i);
-      }
-      rec.dataOffset = tableOffset + tableBytes;
-      if (rec.totalDataBytes() != rec.header.dataBytes) {
-        throw FormatError("size table inconsistent with record header");
-      }
-      const std::uint64_t recordEnd =
-          rec.dataOffset + rec.header.dataBytes + rec.header.trailerBytes();
-      if (recordEnd != entry.end()) {
-        throw FormatError("record extent disagrees with index entry");
-      }
-      result.report.recordsRecovered += 1;
-      result.info.records.push_back(std::move(rec));
-    }
-    result.validPrefixEnd = result.info.fileBytes;
-    return result;
+    result.info = strictWalk(read, storage.size(), probe);
   } catch (const FormatError&) {
     return scanFile(storage);
   }
+  result.report.recordsRecovered = result.info.records.size();
+  result.validPrefixEnd = result.info.fileBytes;
+  return result;
 }
 
 std::string formatSalvageReport(const SalvageReport& report) {

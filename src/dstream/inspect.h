@@ -13,18 +13,14 @@
 #include <vector>
 
 #include "dsindex/dsindex.h"
-#include "dstream/record.h"
+#include "dstream/record_cursor.h"
 #include "dstream/salvage.h"
 #include "pfs/backend.h"
 
 namespace pcxx::ds {
 
-/// Summary of one record in a d/stream file.
-struct RecordInfo {
-  RecordHeader header;
-  std::uint64_t offset = 0;         ///< file offset of the record header
-  std::uint64_t headerBytes = 0;
-  std::uint64_t dataOffset = 0;     ///< first byte of element data
+/// Summary of one record in a d/stream file: its frame plus size table.
+struct RecordInfo : RecordFrame {
   std::vector<std::uint64_t> elementSizes;  ///< per element, file order
 
   std::uint64_t minElementBytes() const;
@@ -52,10 +48,15 @@ struct FileInfo {
 std::shared_ptr<pfs::StorageBackend> openInspectStorage(
     const std::string& path);
 
-/// Inspect the d/stream file stored in `storage`. Throws FormatError on a
-/// malformed file (bad magic, truncated record, checksum mismatch,
-/// size-table/data inconsistency).
+/// Inspect the d/stream file stored in `storage`: the strict RecordCursor
+/// walk. Throws FormatError on a malformed file (bad magic, any record
+/// damage, a corrupt index footer, or a footer that disagrees with the
+/// chain).
 FileInfo inspectFile(pfs::StorageBackend& storage);
+
+/// The same strict walk over any positional reader of `fileBytes` bytes
+/// (checkpoint restore validates an epoch in place through this).
+FileInfo inspectFile(const dsindex::ReadFn& read, std::uint64_t fileBytes);
 
 /// Convenience: inspect a d/stream file on the local file system.
 FileInfo inspectFile(const std::string& path);
@@ -71,20 +72,24 @@ struct ScanResult {
   std::uint64_t validPrefixEnd = 0;
 };
 
-/// Tolerant scan: walk records like inspectFile, but record damage in the
-/// report instead of throwing, and — unlike inspectFile — verify each
-/// record's data CRC-32 trailer when present. Only a damaged 16-byte file
-/// header still throws FormatError (there is nothing to salvage then).
+/// Tolerant scan: the RecordCursor walk, reporting each damaged record or
+/// torn tail (the kinds of docs/FORMAT.md, "Partial writes and recoverable
+/// prefixes") instead of throwing, and — unlike inspectFile — verifying
+/// each record's data CRC-32 trailer when present. It trusts the footer
+/// only for the chain end, never as a header-length hint. Only a damaged
+/// 16-byte file header still throws FormatError (there is nothing to
+/// salvage then). A salvage-mode IStream reports the same damage.
 ScanResult scanFile(pfs::StorageBackend& storage);
 
 /// Convenience: tolerant scan of a d/stream file on the local file system.
 ScanResult scanFile(const std::string& path);
 
 /// Integrity verification (`dsdump --verify`). With `deep` false and a valid
-/// index footer this is O(index): per record it reads only the header and
-/// size table (skipping the data payloads) and cross-checks them against the
-/// footer's entries; any disagreement falls back to the full scan. Files
-/// without a usable footer, and `deep` mode, use scanFile directly.
+/// index footer this is the index-checked walk: inspectFile's strict walk,
+/// which reads only each record's header and size table (skipping the data
+/// payloads) and holds them against the footer's entries; any damage or
+/// disagreement falls back to the full scan. Files without a usable footer,
+/// and `deep` mode, use scanFile directly.
 ScanResult verifyFile(pfs::StorageBackend& storage, bool deep);
 
 /// Read one element's raw payload bytes (by file-order position) from a

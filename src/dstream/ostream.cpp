@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "dstream/record_cursor.h"
 #include "util/crc32.h"
 
 #include "util/log.h"
@@ -106,24 +107,21 @@ void OStream::openFile(const std::string& fileName) {
       } else {
         ctl[0] = kAbsent;
       }
-      encodeU64(probe.footerOffset, ctl.data() + 1);
+      encodeU64(RecordCursor::chainEndOf(probe, fileBytes), ctl.data() + 1);
       encodeU64(fileBytes, ctl.data() + 9);
     }
     node_->broadcastBytes(0, ctl);
     node_->broadcastBytes(0, indexBody);
     const Byte probeCode = ctl[0];
-    const std::uint64_t footerOffset = decodeU64(ctl.data() + 1);
+    const std::uint64_t chainEnd = decodeU64(ctl.data() + 1);
     const std::uint64_t fileBytes = decodeU64(ctl.data() + 9);
     switch (probeCode) {
       case kValid:
         index_ = dsindex::FileIndex::decodeBody(indexBody);
         footerEnabled_ = true;
-        staleTrailerAt_ = fileBytes - dsindex::kTrailerBytes;
-        file_->seekShared(*node_, footerOffset);
-        break;
+        [[fallthrough]];
       case kOverwrite:
         staleTrailerAt_ = fileBytes - dsindex::kTrailerBytes;
-        file_->seekShared(*node_, footerOffset);
         break;
       case kRefuse:
         throw FormatError(
@@ -131,9 +129,10 @@ void OStream::openFile(const std::string& fileName) {
             "unknown extent; appending would make the new records "
             "unreadable (run dsdump --repair first)");
       default:
-        file_->seekShared(*node_, fileBytes);
         break;
     }
+    // New records start at the chain end: over the old footer, or at EOF.
+    file_->seekShared(*node_, chainEnd);
     setupAsync();
     return;
   }

@@ -15,6 +15,7 @@
 
 #include "src/dsindex/dsindex.h"
 #include "src/dstream/dstream.h"
+#include "src/dstream/inspect.h"
 #include "src/pfs/fault_plan.h"
 #include "src/util/crc32.h"
 #include "src/util/rng.h"
@@ -96,6 +97,35 @@ void appendOneRecord(pfs::Pfs& fs, const std::string& name, int tag) {
     s << g;
     s.write();
   });
+}
+
+/// Salvage-read `name` at `prefetchDepth`: the stream's report, with every
+/// recovered record checked against the reference value pattern.
+ds::SalvageReport salvageReadAll(pfs::Pfs& fs, const std::string& name,
+                                 int prefetchDepth) {
+  ds::SalvageReport report;
+  rt::Machine m(2);
+  m.run([&](rt::Node& node) {
+    coll::Processors P;
+    coll::Distribution d(kElements, &P, coll::DistKind::Block);
+    coll::Collection<double> g(&d);
+    ds::StreamOptions so;
+    so.salvage = true;
+    so.aioPrefetchDepth = prefetchDepth;
+    ds::IStream in(fs, &d, name, so);
+    for (int r = 0; !in.atEnd(); ++r) {
+      in.read();
+      if (!in.hasRecord()) break;
+      in >> g;
+      std::int64_t bad = 0;
+      g.forEachLocal([&](double& v, std::int64_t i) {
+        if (v != static_cast<double>(i) + r * 1000.0) ++bad;
+      });
+      EXPECT_EQ(bad, 0) << "record " << r;
+    }
+    if (node.id() == 0) report = in.salvageReport();
+  });
+  return report;
 }
 
 /// Sequentially read `count` records, checking the reference value pattern
@@ -336,6 +366,69 @@ TEST(FooterFuzz, ShortWriteTearsTheFooterAndReadersFallBack) {
   const std::vector<std::uint64_t> expected =
       readAllShuffled(cleanFs, "clean.ds", rng2, /*expectIndexed=*/true);
   EXPECT_EQ(torn, expected);
+}
+
+TEST(FooterFuzz, PinnedChainEndInsideARecordIsOneVerdictAtEveryDepth) {
+  pfs::Pfs fs = test::memFs();
+  writeReference(fs, "ref.ds");
+  ByteBuffer image = fileImage(fs, "ref.ds");
+  const auto pristine = probeImage(image);
+  ASSERT_EQ(pristine.status, dsindex::ProbeStatus::Valid) << pristine.reason;
+  const std::uint64_t lastRecord = pristine.index.entries.back().offset;
+  // Move footerOffset 8 bytes earlier and grow bodyBytes by 8 under a
+  // recomputed trailer CRC: the trailer stays intact (its body no longer
+  // decodes), so the chain end it pins cuts the last record short.
+  Byte* trailer = image.data() + image.size() - dsindex::kTrailerBytes;
+  encodeU64(decodeU64(trailer + 4) - 8, trailer + 4);
+  encodeU64(decodeU64(trailer + 12) + 8, trailer + 12);
+  encodeU32(crc32(std::span<const Byte>(trailer + 4, 24)), trailer);
+  installImage(fs, "pinned.ds", image);
+  const std::uint64_t chainEnd = pristine.footerOffset - 8;
+
+  pfs::MemStorage storage;
+  storage.writeAt(0, image);
+  const ds::SalvageReport scan = ds::scanFile(storage).report;
+  EXPECT_EQ(scan.recordsRecovered, 3u);
+  EXPECT_EQ(scan.recordsLost, 1u);
+  ASSERT_FALSE(scan.damage.empty());
+  EXPECT_EQ(scan.damage[0].offset, lastRecord);
+  EXPECT_EQ(scan.damage[0].bytes, chainEnd - lastRecord);
+
+  for (const int depth : {0, 1}) {
+    SCOPED_TRACE(::testing::Message() << "aioPrefetchDepth " << depth);
+    const ds::SalvageReport got = salvageReadAll(fs, "pinned.ds", depth);
+    EXPECT_EQ(got.recordsRecovered, scan.recordsRecovered);
+    EXPECT_EQ(got.recordsLost, scan.recordsLost);
+    ASSERT_EQ(got.damage.size(), 1u);
+    EXPECT_EQ(got.damage[0].offset, scan.damage[0].offset);
+    EXPECT_EQ(got.damage[0].bytes, scan.damage[0].bytes);
+
+    // Without salvage the same record is a FormatError, as in inspectFile.
+    rt::Machine m(2);
+    EXPECT_THROW(m.run([&](rt::Node&) {
+      coll::Processors P;
+      coll::Distribution d(kElements, &P, coll::DistKind::Block);
+      coll::Collection<double> g(&d);
+      ds::StreamOptions so;
+      so.aioPrefetchDepth = depth;
+      ds::IStream in(fs, &d, "pinned.ds", so);
+      for (int r = 0; r < kRecords; ++r) {
+        in.read();
+        in >> g;
+      }
+    }),
+                 FormatError);
+  }
+  EXPECT_THROW(ds::inspectFile(storage), FormatError);
+  // skipRecord walks the same cursor: the cut record cannot be skipped.
+  rt::Machine m(2);
+  EXPECT_THROW(m.run([&](rt::Node&) {
+    coll::Processors P;
+    coll::Distribution d(kElements, &P, coll::DistKind::Block);
+    ds::IStream in(fs, &d, "pinned.ds");
+    for (int r = 0; r < kRecords; ++r) in.skipRecord();
+  }),
+               FormatError);
 }
 
 TEST(FooterFuzz, AppendOverwritesACorruptFooterInsteadOfBuryingIt) {
