@@ -42,6 +42,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include "pfs/parallel_file.h"
 #include "runtime/machine.h"
@@ -175,13 +176,13 @@ class Writer {
 
 /// One prefetched record: the raw sections a stream read needs, fetched by
 /// the background thread. `start`/`next` are file offsets delimiting the
-/// record (trailer included); the buffers hold the full encoded header and
-/// this node's size-table and data chunks.
+/// record (trailer included); the buffers hold the full encoded header,
+/// this node's slice of the decoded size table and its data chunk.
 struct PrefetchedRecord {
   std::uint64_t start = 0;
   std::uint64_t next = 0;
   ByteBuffer headerBytes;
-  ByteBuffer sizeChunk;
+  std::vector<std::uint64_t> chunkSizes;
   ByteBuffer dataChunk;
   std::uint64_t bytesRead = 0;  ///< background bytes fetched
   int readOps = 0;              ///< background read ops issued
