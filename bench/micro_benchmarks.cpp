@@ -1,20 +1,22 @@
 // Micro-benchmarks (google-benchmark) for the substrate layers: runtime
-// collectives, byte codecs, the pfs LZ chunk codec, checksums, and the
-// d/stream insert/extract path (real host time — these measure this
-// implementation, not the 1995 platforms). Cases that run an rt::Machine do
-// their work on node threads, so they report wall time (UseRealTime): the
-// main thread's CPU time would leave the work out.
+// collectives, byte codecs, the pfs LZ chunk codec and memory store,
+// checksums, and the d/stream insert/extract path (real host time — these
+// measure this implementation, not the 1995 platforms). Cases that run an
+// rt::Machine do their work on node threads, so they report wall time
+// (UseRealTime): the main thread's CPU time would leave the work out.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_obs.h"
 #include "src/collection/collection.h"
 #include "src/dstream/dstream.h"
+#include "src/pfs/backend.h"
 #include "src/pfs/codec.h"
 #include "src/scf/io_methods.h"
 #include "src/scf/segment.h"
@@ -196,6 +198,50 @@ BENCHMARK(BM_UnbufferedVsBuffered)
     ->Arg(1)
     ->ArgNames({"buffered"})
     ->UseRealTime();
+
+/// The store under every simulation-mode bench: 4 threads each extend a
+/// fresh MemStorage by 25 MB at disjoint offsets, the pattern of one
+/// node-order write (ParallelFile::writeOrdered). Reports wall time and
+/// the CPU time of the whole process (the writes run on worker threads).
+void BM_MemStorageOrderedWrite(benchmark::State& state) {
+  constexpr int kThreads = 4;
+  constexpr size_t kBlock = 25u << 20;
+  std::vector<ByteBuffer> blocks;
+  for (int t = 0; t < kThreads; ++t) {
+    blocks.emplace_back(kBlock, static_cast<Byte>(t + 1));
+  }
+  for (auto _ : state) {
+    pfs::MemStorage store;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        store.writeAt(static_cast<std::uint64_t>(t) * kBlock,
+                      blocks[static_cast<size_t>(t)]);
+      });
+    }
+    for (auto& th : threads) th.join();
+    benchmark::DoNotOptimize(store.size());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          kThreads * static_cast<int64_t>(kBlock));
+}
+BENCHMARK(BM_MemStorageOrderedWrite)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// Small-file cost of the store: create, write 8 KiB, destroy.
+void BM_MemStorageSmallFile(benchmark::State& state) {
+  const ByteBuffer data(8 * 1024, 0x5A);
+  for (auto _ : state) {
+    pfs::MemStorage store;
+    store.writeAt(0, data);
+    benchmark::DoNotOptimize(store.size());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MemStorageSmallFile)->Unit(benchmark::kMicrosecond);
 
 /// --metrics-json support: google-benchmark owns argv, so the flag is
 /// stripped before Initialize(). When given, one instrumented stream

@@ -370,7 +370,17 @@ bool IStream::readRecordOnce(bool sorted) {
   }
 
   // ---- data (phase 1: conforming contiguous read) --------------------------
-  ByteBuffer chunk(static_cast<size_t>(myChunkBytes));
+  // When this phase is the final placement (unsorted, or nothing moves) the
+  // data lands in the previous record's buffer, whose pages are already
+  // resident; that record is gone from here on. Redistribution writes
+  // buffer_ itself, so it reads into a fresh chunk.
+  ByteBuffer chunk;
+  if (!sorted || frame.header.layout == layout_) {
+    chunk.swap(buffer_);
+    record_.reset();
+    state_ = State::Ready;
+  }
+  chunk.resize(static_cast<size_t>(myChunkBytes));
 #if PCXX_OBS_ENABLED
   if (fobs != nullptr && fobs->trace != nullptr) {
     fobs->trace->flowStep(node_->id(), "ds.record", fobs->now(), rid);

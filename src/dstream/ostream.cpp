@@ -314,12 +314,14 @@ void OStream::write() {
 
   // Step 0: traverse the pointer lists — per-element sizes and the packed
   // local data buffer (the "per-node buffer" of Figure 4). In async mode
-  // the data is packed straight into a recycled staging buffer, so the
-  // steady state allocates nothing.
+  // the data is packed straight into a recycled staging buffer; the
+  // synchronous path keeps its own pack buffer from record to record. The
+  // steady state allocates (and page-faults) nothing either way.
   std::uint64_t localBytes = 0;
   ByteBuffer sizeTableLocal;
-  ByteBuffer data =
-      writer_ != nullptr ? writer_->acquireBuffer() : ByteBuffer{};
+  ByteBuffer data = writer_ != nullptr ? writer_->acquireBuffer()
+                                       : std::move(packBuffer_);
+  data.clear();
   {
     PCXX_OBS_PHASE(node_->obs(), "ds.bufferFill", DsBufferFillSeconds);
     sizeTableLocal.reserve(static_cast<size_t>(localCount_) * 8);
@@ -496,7 +498,9 @@ void OStream::write() {
     index_.entries.push_back(std::move(entry));
   }
 
-  // Reset per-record state (Figure 2: back to the post-open state).
+  // Reset per-record state (Figure 2: back to the post-open state). The
+  // async path handed `data` to the flusher (or released it to the pool).
+  if (writer_ == nullptr) packBuffer_ = std::move(data);
   for (auto& entries : pending_) entries.clear();
   arena_.clear();
   descs_.clear();

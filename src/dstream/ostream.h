@@ -157,6 +157,8 @@ class OStream {
   detail::Arena arena_;
   std::uint32_t recordSeq_ = 0;
   std::unique_ptr<aio::Writer> writer_;  // null = synchronous path
+  /// Synchronous path's pack buffer, kept at high-water capacity.
+  ByteBuffer packBuffer_;
 
   // dsindex footer state: entries accumulate per write() and are appended
   // as the footer on close. Disabled for attach-to-shared-file streams
