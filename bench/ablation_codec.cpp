@@ -53,7 +53,7 @@ struct RunResult {
   std::uint64_t dedupHits = 0;
   std::uint64_t damagedChunks = 0;
   std::int64_t mismatches = 0;
-  std::string metricsJson;  // empty when obs is compiled out
+  std::string metricsJson;
 };
 
 /// Write two identical epochs with per-epoch stream options from `optFor`,
@@ -65,13 +65,11 @@ RunResult runMode(std::int64_t elements,
   cfg.perf = pfs::paragonParams();
   pfs::Pfs fs(cfg);
   rt::Machine m(kNodes, rt::CommModel{100e-6, 1.25e-8});
-#if PCXX_OBS_ENABLED
   obs::MetricsRegistry reg(kNodes);
   obs::Observer observer;
   observer.metrics = &reg;
   observer.timeMode = obs::Observer::TimeMode::Virtual;
   m.attachObserver(observer);
-#endif
   std::atomic<std::int64_t> bad{0};
   m.run([&](rt::Node&) {
     coll::Processors P;
@@ -93,7 +91,6 @@ RunResult runMode(std::int64_t elements,
     });
     bad.fetch_add(local);
   });
-#if PCXX_OBS_ENABLED
   m.detachObserver();
   auto snap = reg.snapshot();
   // Wall-clock timer in an otherwise virtual-time snapshot: zero it before
@@ -111,7 +108,6 @@ RunResult runMode(std::int64_t elements,
   res.damagedChunks =
       snap.merged.counter(obs::Counter::PfsCodecDamagedChunks);
   res.metricsJson = obs::snapshotJson(snap);
-#endif
   res.mismatches = bad.load();
   return res;
 }
@@ -184,7 +180,6 @@ int main(int argc, char** argv) {
               strfmt("%llu", static_cast<unsigned long long>(r.dedupHits))});
   }
 
-#if PCXX_OBS_ENABLED
   const RunResult& none = modes[0].res;
   const RunResult& lz = modes[1].res;
   const RunResult& dedup = modes[2].res;
@@ -228,7 +223,6 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-#endif
 
   t.setFootnote(
       "all modes verified element-exact on read-back; virtual time is "

@@ -77,8 +77,9 @@ int main(int argc, char** argv) {
               gathered <= parallel ? "gathered" : "parallel"});
   }
   t.setFootnote(
-      "pC++/streams' Auto policy picks gathered below the threshold and "
-      "parallel above it (StreamOptions::parallelHeaderThreshold)");
+      "pC++/streams' Auto policy picks gathered below 4096 elements and "
+      "parallel from there on (kParallelHeaderThreshold, "
+      "src/dstream/ostream.cpp)");
   t.print();
   dump.write();
   return 0;

@@ -42,7 +42,7 @@ struct RunResult {
   std::uint64_t indexHits = 0;
   std::uint64_t fallbacks = 0;
   std::int64_t mismatches = 0;
-  std::string metricsJson;  // empty when obs is compiled out
+  std::string metricsJson;
 };
 
 /// Fetch records {records-1, records/2} `repeats` times on `q` nodes,
@@ -53,12 +53,10 @@ RunResult runSeek(pfs::Pfs& fs, const std::string& file, int q,
   RunResult res;
   fs.model().reset();
   rt::Machine m(q, rt::CommModel{100e-6, 1.25e-8});
-#if PCXX_OBS_ENABLED
   obs::MetricsRegistry reg(q);
   obs::Observer observer;
   observer.metrics = &reg;
   m.attachObserver(observer);
-#endif
   const std::uint32_t targets[] = {static_cast<std::uint32_t>(records - 1),
                                    static_cast<std::uint32_t>(records / 2)};
   std::atomic<std::int64_t> bad{0};
@@ -85,13 +83,11 @@ RunResult runSeek(pfs::Pfs& fs, const std::string& file, int q,
   res.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-#if PCXX_OBS_ENABLED
   m.detachObserver();
   const auto snap = reg.snapshot();
   res.indexHits = snap.merged.counter(obs::Counter::DsIndexHits);
   res.fallbacks = snap.merged.counter(obs::Counter::DsIndexFallbacks);
   res.metricsJson = obs::snapshotJson(snap);
-#endif
   res.mismatches = bad.load();
   return res;
 }
@@ -161,7 +157,6 @@ int main(int argc, char** argv) {
                    static_cast<long long>(replay.mismatches));
       ok = false;
     }
-#if PCXX_OBS_ENABLED
     if (indexed.indexHits == 0) {
       std::fprintf(stderr,
                    "index never hit (%d records): the footer should back "
@@ -175,7 +170,6 @@ int main(int argc, char** argv) {
       metricRuns.emplace_back(strfmt("records=%d replay", records),
                               replay.metricsJson);
     }
-#endif
     t.addRow({strfmt("%d", records),
               strfmt("%.3f sec.", indexed.seconds),
               strfmt("%.3f sec.", replay.seconds),

@@ -20,7 +20,9 @@ each run's merged phase timers.
 
 --self-test synthesizes a candidate with every table total and phase
 inflated by 20% and asserts the gate rejects it (exit 3) while accepting
-the unmodified metrics — run in CI so the gate itself cannot silently rot.
+the unmodified metrics, and that an ablation document repeating a run
+label is an error (exit 2) — run in CI so the gate itself cannot
+silently rot.
 
 A human-readable summary is written to OUT_DIR/gate_report.txt alongside
 the raw artifacts. Standard library only.
@@ -42,7 +44,7 @@ BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 COMPARE = os.path.join(BENCH_DIR, "compare_metrics.py")
 
 # ablation_redist CI-smoke shape (matches ci/run_ci.sh): small but
-# exercises plan vs legacy and the chunked exchange.
+# exercises plan reuse and the chunked exchange.
 ABLATION_REDIST_ARGS = ["--segments", "600", "--particles", "6",
                         "--records", "2", "--repeats", "2"]
 
@@ -190,13 +192,21 @@ def compare_tables(baseline_tables, candidate_path, pct, out_dir, report):
 def compare_ablation(name, baseline_doc, candidate_doc, pct, report):
     """One-sided check over each run's merged phase timers. Returns the
     list of regression strings (empty = pass)."""
-    def runs_of(doc):
-        return {r.get("label"): r.get("metrics", {}).get("merged", {})
-                                  .get("seconds", {})
-                for r in doc.get("runs", [])}
+    def runs_of(doc, side):
+        runs = {}
+        for r in doc.get("runs", []):
+            label = r.get("label")
+            if label in runs:
+                # A dict keyed by label would silently keep only the last
+                # run, leaving the others ungated.
+                raise GateError(f"{name}: {side} repeats run label "
+                                f"{label!r}")
+            runs[label] = (r.get("metrics", {}).get("merged", {})
+                           .get("seconds", {}))
+        return runs
 
-    base_runs = runs_of(baseline_doc)
-    cand_runs = runs_of(candidate_doc)
+    base_runs = runs_of(baseline_doc, "baseline")
+    cand_runs = runs_of(candidate_doc, "candidate")
     common = set(base_runs) & set(cand_runs)
     if not common:
         raise GateError(f"{name}: baseline and candidate share no run "
@@ -242,8 +252,9 @@ def inflate_tables(doc, factor):
 
 
 def self_test(fresh_tables_path, pct, out_dir, report):
-    """The gate must reject a 20% synthetic regression and accept the
-    unmodified metrics. Returns True on success."""
+    """The gate must reject a 20% synthetic regression and a repeated
+    ablation run label, and accept the unmodified metrics. Returns True on
+    success."""
     fresh = load_json(fresh_tables_path)
     inflated_path = os.path.join(out_dir, "selftest.inflated.json")
     with open(inflated_path, "w", encoding="utf-8") as f:
@@ -266,8 +277,20 @@ def self_test(fresh_tables_path, pct, out_dir, report):
         report.append(f"self-test: FAILED — identical metrics exited {rc}, "
                       f"expected 0")
         ok = False
+    entry = {"label": "x", "metrics": {"merged": {"seconds": {"t": 1.0}}}}
+    twice = {"runs": [entry, entry]}
+    once = {"runs": [entry]}
+    for base, cand in ((twice, once), (once, twice)):
+        try:
+            compare_ablation("self-test", base, cand, pct, [])
+        except GateError:
+            continue
+        report.append("self-test: FAILED — a repeated ablation run label "
+                      "was accepted")
+        ok = False
     if ok:
-        report.append("self-test: gate rejects +20% and accepts identity")
+        report.append("self-test: gate rejects +20% and repeated run "
+                      "labels, and accepts identity")
     return ok
 
 

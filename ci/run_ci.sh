@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# CI driver: build + test the repository in one of three configurations.
+# CI driver: build + test the repository in one of its configurations.
 #
 #   ci/run_ci.sh default     plain RelWithDebInfo build
-#   ci/run_ci.sh asan        AddressSanitizer + UBSan (PCXX_SANITIZE=ON)
+#   ci/run_ci.sh asan        AddressSanitizer + UBSan (PCXX_SANITIZE=ON;
+#                            a UBSan finding fails the test)
 #   ci/run_ci.sh tsan        ThreadSanitizer         (PCXX_TSAN=ON)
-#   ci/run_ci.sh obs-off     instrumentation compiled out (PCXX_OBS=OFF)
 #   ci/run_ci.sh fault       ASan build, fault-tolerance suite only
 #   ci/run_ci.sh chaos       ASan build, runtime chaos/watchdog suite only
 #   ci/run_ci.sh codec       full suite under PCXX_CODEC=lz + off-switch
@@ -79,8 +79,9 @@ run_config() {
         return 1
       fi
     done
-    # Redistribution-engine smoke: plan vs legacy byte-identity plus a
-    # nonzero plan-cache hit count (the binary exits 1 on either failure).
+    # Redistribution-engine smoke: every element verified against the
+    # deterministic fill plus a nonzero plan-cache hit count (the binary
+    # exits 1 on either failure).
     echo "=== [${name}] redist ablation smoke ==="
     "${build_dir}/bench/ablation_redist" \
       --segments 600 --particles 6 --records 2 --repeats 2
@@ -207,7 +208,6 @@ case "${1:-all}" in
   default)  run_config default ;;
   asan)     run_config asan -DPCXX_SANITIZE=ON ;;
   tsan)     run_config tsan -DPCXX_TSAN=ON ;;
-  obs-off)  run_config obs-off -DPCXX_OBS=OFF ;;
   fault)    run_fault ;;
   chaos)    run_chaos ;;
   codec)    run_codec ;;
@@ -217,7 +217,6 @@ case "${1:-all}" in
     run_config default
     run_config asan -DPCXX_SANITIZE=ON
     run_config tsan -DPCXX_TSAN=ON
-    run_config obs-off -DPCXX_OBS=OFF
     run_fault
     run_chaos
     run_codec
@@ -225,7 +224,7 @@ case "${1:-all}" in
     run_perf
     ;;
   *)
-    echo "usage: $0 [default|asan|tsan|obs-off|fault|chaos|codec|coverage|perf|all]" >&2
+    echo "usage: $0 [default|asan|tsan|fault|chaos|codec|coverage|perf|all]" >&2
     exit 2
     ;;
 esac

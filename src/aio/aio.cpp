@@ -126,7 +126,7 @@ Writer::Writer(rt::Node& node, pfs::ParallelFilePtr file, Options opts)
     : node_(node),
       file_(std::move(file)),
       opts_(opts),
-      pool_(opts.poolBuffers > 0 ? opts.poolBuffers : opts.queueDepth + 2) {
+      pool_(opts.queueDepth + 2) {
   PCXX_REQUIRE(opts_.queueDepth >= 1, "aio::Writer queue depth must be >= 1");
   PCXX_REQUIRE(file_ != nullptr, "aio::Writer needs an open file");
   flusher_ = std::thread([this] { flusherLoop(); });
@@ -153,10 +153,6 @@ void Writer::submit(std::uint64_t offset, ByteBuffer&& buf,
                     std::uint64_t flowId) {
   rethrowPending();
   obs::NodeObs* o = node_.obs();
-#if !PCXX_OBS_ENABLED
-  (void)o;
-  (void)flowId;
-#endif
   rt::VirtualClock& clock = node_.clock();
 
   // Modeled overlap timeline (deterministic; real scheduling irrelevant):
@@ -178,7 +174,6 @@ void Writer::submit(std::uint64_t offset, ByteBuffer&& buf,
   const double end = start + transferSeconds;
   flusherReady_ = end;
   completions_.push_back(end);
-#if PCXX_OBS_ENABLED
   if (o != nullptr && o->trace != nullptr && !o->wallTime) {
     const int track = o->trace->flusherTrack(o->nodeId);
     o->trace->begin(track, "aio.flush", start);
@@ -189,7 +184,6 @@ void Writer::submit(std::uint64_t offset, ByteBuffer&& buf,
     }
     o->trace->end(track, "aio.flush", end);
   }
-#endif
   PCXX_OBS_COUNT(o, AioSubmits, 1);
 
   // Real handoff: bounded queue gives wall-clock backpressure. Whatever
@@ -234,9 +228,6 @@ void Writer::submit(std::uint64_t offset, ByteBuffer&& buf,
 
 void Writer::drain() {
   obs::NodeObs* o = node_.obs();
-#if !PCXX_OBS_ENABLED
-  (void)o;
-#endif
   PCXX_OBS_COUNT(o, AioDrains, 1);
   rt::VirtualClock& clock = node_.clock();
   if (flusherReady_ > clock.now()) {
@@ -288,10 +279,6 @@ void Writer::foldStatsLocked() {
   PCXX_OBS_COUNT(o, PfsCodecDedupHits, d.codecDedupHits);
   PCXX_OBS_COUNT(o, PfsCodecDamagedChunks, d.codecDamagedChunks);
   PCXX_OBS_SECONDS(o, PfsCodecSeconds, d.codecSeconds);
-#if !PCXX_OBS_ENABLED
-  (void)o;
-  (void)d;
-#endif
 }
 
 void Writer::flusherLoop() {

@@ -96,8 +96,8 @@ class BufferPool {
 class Writer {
  public:
   struct Options {
-    int queueDepth = 1;       ///< max buffers in flight (>= 1)
-    int poolBuffers = 0;      ///< staging buffers (0 => queueDepth + 2)
+    /// Max buffers in flight (>= 1); the staging pool holds two more.
+    int queueDepth = 1;
     double drainDeadlineSeconds = 30.0;  ///< wall-clock bound on waits
   };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <numeric>
 
 #include "util/crc32.h"
@@ -317,13 +316,11 @@ bool IStream::readRecordOnce(bool sorted) {
   // ordered data read and the redistribution exchange extend, so Perfetto
   // links each record to the work that reconstructed it.
   std::uint64_t rid = 0;
-#if PCXX_OBS_ENABLED
   obs::NodeObs* fobs = node_->obs();
   if (fobs != nullptr && fobs->trace != nullptr) {
     rid = node_->machine().nextFlowId();
     fobs->trace->flowStart(node_->id(), "ds.record", fobs->now(), rid);
   }
-#endif
 
   // The footer's header length saves the prefix read. The cursor's verdict,
   // including the record-fits-the-chain check, comes before any collective
@@ -381,11 +378,9 @@ bool IStream::readRecordOnce(bool sorted) {
     state_ = State::Ready;
   }
   chunk.resize(static_cast<size_t>(myChunkBytes));
-#if PCXX_OBS_ENABLED
   if (fobs != nullptr && fobs->trace != nullptr) {
     fobs->trace->flowStep(node_->id(), "ds.record", fobs->now(), rid);
   }
-#endif
   file_->readOrdered(*node_, chunk);
 
   // ---- optional data checksum trailer ---------------------------------------
@@ -613,7 +608,7 @@ bool IStream::finishRecord(bool sorted, RecordFrame frame, ByteBuffer chunk,
       elemOffsets_[j] = off;
       off += elemSizes_[j];
     }
-  } else if (opts_.redistUsePlan) {
+  } else {
     // ---- phase 2: plan-based redistribution (paper §4.1) -------------------
     PCXX_OBS_PHASE(node_->obs(), "ds.redist", DsRedistSeconds);
     try {
@@ -639,11 +634,6 @@ bool IStream::finishRecord(bool sorted, RecordFrame frame, ByteBuffer chunk,
       if (opts_.salvage) return skipDamage(frame.offset, frame.end, e.what());
       throw;
     }
-  } else {
-    PCXX_OBS_PHASE(node_->obs(), "ds.redist", DsRedistSeconds);
-    if (!redistributeLegacy(frame, chunk, chunkSizes, flowId)) {
-      return false;
-    }
   }
 
   fs_->model().chargeBookkeeping(*node_,
@@ -661,148 +651,11 @@ bool IStream::finishRecord(bool sorted, RecordFrame frame, ByteBuffer chunk,
   } else {
     PCXX_OBS_COUNT(node_->obs(), DsUnsortedReads, 1);
   }
-#if PCXX_OBS_ENABLED
   // Terminate the record's flow chain: the record is fully assembled in
   // local order. "bp":"e" binds the arrow into the enclosing ds.read span.
   if (obs::NodeObs* o = node_->obs();
       flowId != 0 && o != nullptr && o->trace != nullptr) {
     o->trace->flowEnd(node_->id(), "ds.record", o->now(), flowId);
-  }
-#endif
-  return true;
-}
-
-bool IStream::redistributeLegacy(const RecordFrame& frame,
-                                 const ByteBuffer& chunk,
-                                 const std::vector<std::uint64_t>& chunkSizes,
-                                 std::uint64_t flowId) {
-  const RecordHeader& header = frame.header;
-#if !PCXX_OBS_ENABLED
-  (void)flowId;
-#endif
-  // ---- phase 2, seed path: sort + send to owner nodes (paper §4.1) --------
-  // Format problems found here are NODE-LOCAL (each node sees only its own
-  // chunk and its own arriving elements), so nothing may throw before the
-  // collectives: errors are captured in `error` and, in salvage mode,
-  // resolved by a vote after the exchange so every node skips together.
-  std::string error;
-  // Global indices of elements in file order, from the WRITER's layout.
-  std::vector<std::int64_t> fileOrderGlobals;
-  fileOrderGlobals.reserve(static_cast<size_t>(header.elementCount()));
-  for (int proc = 0; proc < header.layout.nprocs(); ++proc) {
-    const auto locals = header.layout.localElements(proc);
-    fileOrderGlobals.insert(fileOrderGlobals.end(), locals.begin(),
-                            locals.end());
-  }
-  // My chunk covers file positions [chunkStart, chunkStart + localCount_).
-  std::int64_t chunkStart = 0;
-  for (int r = 0; r < node_->id(); ++r) {
-    chunkStart += layout_.localCount(r);
-  }
-  // Route each element of my chunk to its reading owner.
-  std::vector<ByteBuffer> sendTo(static_cast<size_t>(node_->nprocs()));
-  std::uint64_t off = 0;
-  for (std::int64_t k = 0; k < localCount_; ++k) {
-    const std::int64_t g =
-        fileOrderGlobals[static_cast<size_t>(chunkStart + k)];
-    const std::uint64_t bytes = chunkSizes[static_cast<size_t>(k)];
-    off += bytes;
-    if (g < 0 || g >= layout_.size()) {
-      if (error.empty()) {
-        error = "record header routes global index " + std::to_string(g) +
-                " outside the collection during redistribution";
-      }
-      continue;
-    }
-    const int owner = layout_.ownerOf(g);
-    ByteBuffer& out = sendTo[static_cast<size_t>(owner)];
-    ByteWriter w(out);
-    w.i64(g);
-    w.u64(bytes);
-    w.bytes({chunk.data() + (off - bytes), static_cast<size_t>(bytes)});
-    if (owner != node_->id()) {
-      PCXX_OBS_COUNT(node_->obs(), RedistElementsMoved, 1);
-    }
-  }
-  for (int peer = 0; peer < node_->nprocs(); ++peer) {
-    const auto& buf = sendTo[static_cast<size_t>(peer)];
-    if (peer == node_->id() || buf.empty()) continue;
-    PCXX_OBS_COUNT(node_->obs(), RedistBytesSent, buf.size());
-    PCXX_OBS_COUNT(node_->obs(), RedistMessagesSent, 1);
-    PCXX_OBS_PEER_BYTES(node_->obs(), peer, buf.size());
-  }
-  [[maybe_unused]] const double waitedBefore = node_->clock().waitedSeconds();
-#if PCXX_OBS_ENABLED
-  if (obs::NodeObs* o = node_->obs();
-      flowId != 0 && o != nullptr && o->trace != nullptr) {
-    o->trace->flowStep(node_->id(), "ds.record", o->now(), flowId);
-  }
-#endif
-  const auto received = node_->alltoallv(sendTo);
-  PCXX_OBS_SECONDS(node_->obs(), RedistWaitSeconds,
-                   node_->clock().waitedSeconds() - waitedBefore);
-
-  // Collect my owned elements, then order them by ascending global index
-  // (= local order).
-  std::map<std::int64_t, std::pair<const Byte*, std::uint64_t>> byGlobal;
-  for (const ByteBuffer& buf : received) {
-    ByteReader r(buf);
-    while (r.remaining() > 0) {
-      const std::int64_t g = r.i64();
-      const std::uint64_t bytes = r.u64();
-      const auto span = r.bytes(static_cast<size_t>(bytes));
-      const auto [it, inserted] =
-          byGlobal.emplace(g, std::make_pair(span.data(), bytes));
-      if (!inserted && error.empty()) {
-        // A corrupt header listed the same global index under two writer
-        // positions; the map would silently keep one copy and a later
-        // "missing element" error would point at the wrong index.
-        error = "duplicate delivery for global index " + std::to_string(g) +
-                " during redistribution — the record header's element "
-                "mapping is corrupt";
-      }
-    }
-  }
-  const auto myGlobals = layout_.localElements(node_->id());
-  if (error.empty() &&
-      static_cast<std::int64_t>(byGlobal.size()) != localCount_) {
-    error =
-        "redistribution did not deliver exactly the local element set "
-        "(file layout inconsistent with its header)";
-  }
-  if (error.empty()) {
-    buffer_.clear();
-    elemOffsets_.assign(myGlobals.size(), 0);
-    elemSizes_.assign(myGlobals.size(), 0);
-    std::uint64_t pos = 0;
-    for (size_t j = 0; j < myGlobals.size(); ++j) {
-      const auto it = byGlobal.find(myGlobals[j]);
-      if (it == byGlobal.end()) {
-        error = "redistribution missing element " +
-                std::to_string(myGlobals[j]);
-        break;
-      }
-      elemOffsets_[j] = pos;
-      elemSizes_[j] = it->second.second;
-      buffer_.insert(buffer_.end(), it->second.first,
-                     it->second.first + it->second.second);
-      pos += it->second.second;
-    }
-  }
-  if (opts_.salvage) {
-    // One node's corrupt chunk is invisible to the others; vote so the
-    // whole machine skips the record together.
-    const std::uint64_t bad =
-        node_->allreduceSumU64(error.empty() ? 0 : 1);
-    if (bad != 0) {
-      return skipDamage(frame.offset, frame.end,
-                        error.empty()
-                            ? "a peer node detected inconsistent "
-                              "redistribution routing"
-                            : error);
-    }
-  } else if (!error.empty()) {
-    throw FormatError(error);
   }
   return true;
 }
@@ -893,9 +746,6 @@ int IStream::tryPrefetched(bool sorted) {
   PCXX_OBS_COUNT(node_->obs(), PfsCodecDedupHits, bg.codecDedupHits);
   PCXX_OBS_COUNT(node_->obs(), PfsCodecDamagedChunks, bg.codecDamagedChunks);
   PCXX_OBS_SECONDS(node_->obs(), PfsCodecSeconds, bg.codecSeconds);
-#if !PCXX_OBS_ENABLED
-  (void)bg;
-#endif
 
   // The collective reads below must be entered by every node together, so
   // the fast path is all-or-nothing: one miss anywhere makes this record
@@ -932,7 +782,6 @@ int IStream::tryPrefetched(bool sorted) {
   }
   prefetchConsumedAt_.push_back(clock.now());
   std::uint64_t rid = 0;
-#if PCXX_OBS_ENABLED
   {
     obs::NodeObs* o = node_->obs();
     if (o != nullptr && o->trace != nullptr && !o->wallTime) {
@@ -947,7 +796,6 @@ int IStream::tryPrefetched(bool sorted) {
       o->trace->flowStep(o->nodeId, "ds.record", o->now(), rid);
     }
   }
-#endif
   PCXX_OBS_COUNT(node_->obs(), AioPrefetchHits, 1);
 
   // The plan framed these exact bytes under the same chain end, so this

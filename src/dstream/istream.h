@@ -262,13 +262,6 @@ class IStream {
   bool finishRecord(bool sorted, RecordFrame frame, ByteBuffer chunk,
                     std::vector<std::uint64_t> chunkSizes,
                     std::uint64_t flowId);
-  /// Seed-era phase 2 (StreamOptions::redistUsePlan = false): per-record
-  /// enumeration of every node's element list and a std::map collection.
-  /// Kept for A/B comparison against the plan engine; byte-identical
-  /// output. Returns false when salvage mode skipped corrupt routing.
-  bool redistributeLegacy(const RecordFrame& frame, const ByteBuffer& chunk,
-                          const std::vector<std::uint64_t>& chunkSizes,
-                          std::uint64_t flowId);
   /// Record damage [from, to) in the salvage report and advance past it.
   bool skipDamage(std::uint64_t from, std::uint64_t to, std::string reason);
   /// A cursor damage verdict: throw it (FormatError) without salvage,

@@ -9,6 +9,15 @@
 
 namespace pcxx::ds {
 
+namespace {
+
+/// HeaderPolicy::Auto writes the size table in parallel from this element
+/// count on. Each record header stores its mode, so moving the constant
+/// changes the bytes of newly written files.
+constexpr std::int64_t kParallelHeaderThreshold = 4096;
+
+}  // namespace
+
 OStream::OStream(pfs::Pfs& fs, const coll::Distribution* d,
                  const coll::Align* a, const std::string& fileName,
                  StreamOptions opts)
@@ -52,7 +61,6 @@ void OStream::setupAsync() {
   if (opts_.aioQueueDepth <= 0) return;
   aio::Writer::Options wo;
   wo.queueDepth = opts_.aioQueueDepth;
-  wo.poolBuffers = opts_.aioPoolBuffers;
   wo.drainDeadlineSeconds = opts_.aioDrainDeadlineSeconds;
   writer_ = std::make_unique<aio::Writer>(*node_, file_, wo);
 }
@@ -270,7 +278,7 @@ HeaderMode OStream::chooseHeaderMode() const {
     case StreamOptions::HeaderPolicy::Auto:
       break;
   }
-  return layout_.size() >= opts_.parallelHeaderThreshold
+  return layout_.size() >= kParallelHeaderThreshold
              ? HeaderMode::Parallel
              : HeaderMode::Gathered;
 }
@@ -304,13 +312,11 @@ void OStream::write() {
   // flusher's modeled flush span) extend/terminate, so Perfetto links the
   // record to the background work that carried its bytes.
   std::uint64_t rid = 0;
-#if PCXX_OBS_ENABLED
   obs::NodeObs* fobs = node_->obs();
   if (fobs != nullptr && fobs->trace != nullptr) {
     rid = node_->machine().nextFlowId();
     fobs->trace->flowStart(node_->id(), "ds.record", fobs->now(), rid);
   }
-#endif
 
   // Step 0: traverse the pointer lists — per-element sizes and the packed
   // local data buffer (the "per-node buffer" of Figure 4). In async mode
@@ -417,19 +423,15 @@ void OStream::write() {
                       dataRes.transferSeconds, syncViaFlusher, rid);
     } else {
       file_->writeOrdered(*node_, sizeTableLocal);
-#if PCXX_OBS_ENABLED
       if (fobs != nullptr && fobs->trace != nullptr) {
         fobs->trace->flowStep(node_->id(), "ds.record", fobs->now(), rid);
       }
-#endif
       file_->writeOrdered(*node_, data);
-#if PCXX_OBS_ENABLED
       // Synchronous chains terminate here: the record's bytes are on
       // storage. (Async chains terminate on the flusher track instead.)
       if (fobs != nullptr && fobs->trace != nullptr) {
         fobs->trace->flowEnd(node_->id(), "ds.record", fobs->now(), rid);
       }
-#endif
     }
   } else {
     // Gathered: the size table is collected to node 0 and written at the
@@ -458,17 +460,13 @@ void OStream::write() {
         writer_->releaseBuffer(std::move(data));  // folded into the block
       }
     } else {
-#if PCXX_OBS_ENABLED
       if (fobs != nullptr && fobs->trace != nullptr) {
         fobs->trace->flowStep(node_->id(), "ds.record", fobs->now(), rid);
       }
-#endif
       file_->writeOrdered(*node_, myBlock);
-#if PCXX_OBS_ENABLED
       if (fobs != nullptr && fobs->trace != nullptr) {
         fobs->trace->flowEnd(node_->id(), "ds.record", fobs->now(), rid);
       }
-#endif
     }
   }
 

@@ -11,14 +11,12 @@ namespace pcxx::ds {
 struct StreamOptions {
   /// How the record header + size table are written (paper §4.1 step 1).
   enum class HeaderPolicy {
-    Auto,           ///< Parallel when elementCount >= parallelHeaderThreshold
+    Auto,           ///< Parallel from 4096 elements on, else gathered
     ForceGathered,  ///< always gather to node 0 (small-collection path)
     ForceParallel,  ///< always use the parallel size-table write
   };
 
   HeaderPolicy headerPolicy = HeaderPolicy::Auto;
-  /// Element count at which the parallel size-table write pays off.
-  std::int64_t parallelHeaderThreshold = 4096;
   /// fsync after every write() (durability for checkpointing).
   bool syncOnWrite = false;
   /// Append a CRC-32 of each record's data section and verify it on read.
@@ -49,10 +47,6 @@ struct StreamOptions {
   bool dsindexUseFooter = true;
 
   // -- pcxx::redist (see docs/REDIST.md) -------------------------------------
-  /// Sorted reads under a changed layout: use the cached-plan redistribution
-  /// engine (pcxx::redist). Off = the legacy per-record enumeration + map
-  /// path, kept for A/B comparison; both produce byte-identical buffers.
-  bool redistUsePlan = true;
   /// Bound on the payload bytes sent to any single peer per exchange round
   /// during redistribution. Caps peak redistribution memory at
   /// O(nprocs * redistChunkBytes) regardless of record size. 0 = exchange
@@ -65,8 +59,6 @@ struct StreamOptions {
   int aioQueueDepth = 0;
   /// Input streams: records prefetched ahead per node. 0 = synchronous.
   int aioPrefetchDepth = 0;
-  /// Staging buffers per write-behind pipeline (0 = aioQueueDepth + 2).
-  int aioPoolBuffers = 0;
   /// Wall-clock bound on any wait against an aio helper thread (drain at
   /// close, full queue, exhausted pool, in-flight prefetch).
   double aioDrainDeadlineSeconds = 30.0;

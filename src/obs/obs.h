@@ -12,9 +12,8 @@
 //    (one track per node: B/E spans for stream phases, C counter tracks
 //    for buffer occupancy). The output loads in Perfetto / chrome://tracing.
 //
-//  * PCXX_OBS_* macros — the instrumentation points. They compile to
-//    no-ops when the PCXX_OBS CMake option is OFF (PCXX_OBS_ENABLED=0),
-//    and to a single null-check when ON but no observer is attached.
+//  * PCXX_OBS_* macros — the instrumentation points. Each is a single
+//    null-check when no observer is attached.
 //
 // Layering: obs depends only on util. The runtime attaches observers to a
 // Machine (Machine::attachObserver) and hands each node a NodeObs; pfs and
@@ -28,10 +27,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-#ifndef PCXX_OBS_ENABLED
-#define PCXX_OBS_ENABLED 1
-#endif
 
 namespace pcxx::obs {
 
@@ -387,11 +382,8 @@ class PhaseScope {
 
 // ---------------------------------------------------------------------------
 // Instrumentation macros. `obsExpr` is a (possibly null) obs::NodeObs*,
-// typically `node.obs()`. With PCXX_OBS_ENABLED=0 the argument expressions
-// are never evaluated and the macros contribute zero code.
+// typically `node.obs()`.
 // ---------------------------------------------------------------------------
-
-#if PCXX_OBS_ENABLED
 
 #define PCXX_OBS_CONCAT_IMPL_(a, b) a##b
 #define PCXX_OBS_CONCAT_(a, b) PCXX_OBS_CONCAT_IMPL_(a, b)
@@ -452,14 +444,3 @@ class PhaseScope {
     }                                                                  \
   } while (0)
 
-#else  // !PCXX_OBS_ENABLED
-
-#define PCXX_OBS_PHASE(obsExpr, name, timerId) do { } while (0)
-#define PCXX_OBS_SPAN(obsExpr, name) do { } while (0)
-#define PCXX_OBS_COUNT(obsExpr, counterId, delta) do { } while (0)
-#define PCXX_OBS_SECONDS(obsExpr, timerId, delta) do { } while (0)
-#define PCXX_OBS_HIST(obsExpr, histId, value) do { } while (0)
-#define PCXX_OBS_PEER_BYTES(obsExpr, peer, bytes) do { } while (0)
-#define PCXX_OBS_TRACE_COUNTER(obsExpr, name, value) do { } while (0)
-
-#endif  // PCXX_OBS_ENABLED

@@ -32,7 +32,6 @@ void execute(rt::Node& node, const RedistPlan& plan, const ByteBuffer& chunk,
              std::vector<std::uint64_t>& elemOffsets,
              std::vector<std::uint64_t>& elemSizes, ExchangeScratch& scratch,
              std::uint64_t flowId) {
-#if PCXX_OBS_ENABLED
   // Step the record's flow chain at each wire touch (size swap + every
   // payload round) so the trace links the record to its exchanges.
   const auto flowStep = [&node, flowId] {
@@ -41,10 +40,6 @@ void execute(rt::Node& node, const RedistPlan& plan, const ByteBuffer& chunk,
       o->trace->flowStep(o->nodeId, "ds.record", o->now(), flowId);
     }
   };
-#else
-  (void)flowId;
-  const auto flowStep = [] {};
-#endif
   const int nprocs = plan.nprocs;
   const int me = plan.me;
   PCXX_REQUIRE(node.nprocs() == nprocs && node.id() == me,
@@ -69,7 +64,7 @@ void execute(rt::Node& node, const RedistPlan& plan, const ByteBuffer& chunk,
   scratch.sendPeerBytes.assign(static_cast<size_t>(nprocs), 0);
   scratch.recvPeerBytes.assign(static_cast<size_t>(nprocs), 0);
 
-  [[maybe_unused]] const double waitedBefore = node.clock().waitedSeconds();
+  const double waitedBefore = node.clock().waitedSeconds();
 
   // ---- stage one: sizes -----------------------------------------------------
   // Self group: placed without touching the wire.
@@ -97,9 +92,6 @@ void execute(rt::Node& node, const RedistPlan& plan, const ByteBuffer& chunk,
     elementsMoved += static_cast<std::uint64_t>(count);
   }
   PCXX_OBS_COUNT(node.obs(), RedistElementsMoved, elementsMoved);
-#if !PCXX_OBS_ENABLED
-  (void)elementsMoved;
-#endif
   flowStep();
   node.alltoallvInto(scratch.sendBufs, scratch.recvBufs);
   for (int p = 0; p < nprocs; ++p) {

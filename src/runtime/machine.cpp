@@ -83,7 +83,6 @@ void Node::send(int dest, int tag, std::span<const Byte> data) {
   }
   PCXX_OBS_COUNT(obs(), RtMessagesSent, 1);
   PCXX_OBS_COUNT(obs(), RtMessageBytes, data.size());
-#if PCXX_OBS_ENABLED
   // Stamp the message with a correlation id and open the flow edge on the
   // sender track; the receiver closes it in recv(), so Perfetto draws the
   // actual sender→receiver causality arrow.
@@ -91,7 +90,6 @@ void Node::send(int dest, int tag, std::span<const Byte> data) {
     msg.flowId = Machine::kFlowP2P | machine_->nextFlowId();
     o->trace->flowStart(id_, "rt.msg", o->now(), msg.flowId);
   }
-#endif
   if (verdict.reorder) {
     // Stash this message on the sender; the next runtime op (send, recv,
     // collective, or function return) delivers it, so a later send
@@ -145,12 +143,10 @@ Message Node::recv(int src, int tag) {
     throw RecvTimeoutError(id_, src, tag);
   }
   clock_.syncTo(msg.arrivalTime);
-#if PCXX_OBS_ENABLED
   if (obs::NodeObs* o = obs();
       o != nullptr && o->trace != nullptr && msg.flowId != 0) {
     o->trace->flowEnd(id_, "rt.msg", o->now(), msg.flowId);
   }
-#endif
   return msg;
 }
 
@@ -655,7 +651,6 @@ void Machine::barrierSync(const char* opName,
       if (n.id_ == straggler) {
         PCXX_OBS_COUNT(n.obs(), RtCollStragglerOps, 1);
       }
-#if PCXX_OBS_ENABLED
       if (obs::NodeObs* o = n.obs(); o != nullptr && o->trace != nullptr) {
         // Per-node arrival/release span plus the straggler's flow edges:
         // the last-arriving node opens one edge per peer at its release
@@ -685,12 +680,7 @@ void Machine::barrierSync(const char* opName,
         o->trace->end(n.id_, "rt.coll", tRel);
         return;
       }
-#endif
     }
-#if !PCXX_OBS_ENABLED
-    (void)opId;
-    (void)straggler;
-#endif
     n.clock_.syncTo(target);
   }
 }

@@ -86,8 +86,7 @@ TEST(AioDrainDeadline, QueueFullSubmitTimesOutWithoutLeakingItsBuffer) {
   m.run([&](rt::Node& node) {
     auto file = fs.open(node, "full", pfs::OpenMode::Create);
     aio::Writer::Options wo;
-    wo.queueDepth = 1;
-    wo.poolBuffers = 3;
+    wo.queueDepth = 1;  // a staging pool of three buffers
     wo.drainDeadlineSeconds = 0.2;
     aio::Writer w(node, file, wo);
 

@@ -72,7 +72,6 @@ ByteBuffer writeAndSnapshot(const WriteCfg& cfg) {
   pfs::Pfs fs = test::memFs();
   rt::Machine m(kNodes);
 
-#if PCXX_OBS_ENABLED
   std::unique_ptr<obs::MetricsRegistry> registry;
   std::unique_ptr<obs::TraceSession> trace;
   if (cfg.observe) {
@@ -84,7 +83,6 @@ ByteBuffer writeAndSnapshot(const WriteCfg& cfg) {
     observer.timeMode = obs::Observer::TimeMode::Wall;  // no perf model here
     m.attachObserver(observer);
   }
-#endif
 
   ByteBuffer bytes;
   m.run([&](rt::Node& node) {
@@ -194,7 +192,6 @@ TEST(ByteIdentity, BothHeaderModesMatchTheirSyncCounterpart) {
   }
 }
 
-#if PCXX_OBS_ENABLED
 TEST(ByteIdentity, ObserverDoesNotPerturbTheBytes) {
   const ByteBuffer golden = writeAndSnapshot(WriteCfg{});
   WriteCfg cfg;
@@ -202,7 +199,6 @@ TEST(ByteIdentity, ObserverDoesNotPerturbTheBytes) {
   cfg.observe = true;
   EXPECT_EQ(writeAndSnapshot(cfg), golden);
 }
-#endif
 
 TEST(ByteIdentity, PrefetchReadsLeaveTheFileUntouchedAndRoundTrip) {
   pfs::Pfs fs = test::memFs();

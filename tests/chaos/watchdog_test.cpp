@@ -9,12 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/obs.h"
 #include "src/runtime/machine.h"
 #include "src/runtime/rt_errors.h"
-
-#if PCXX_OBS_ENABLED
-#include "src/obs/obs.h"
-#endif
 
 namespace {
 
@@ -156,7 +153,6 @@ TEST(Watchdog, MachineIsReusableAfterTimeoutAbort) {
   EXPECT_EQ(completed.load(), 2);
 }
 
-#if PCXX_OBS_ENABLED
 TEST(Watchdog, TripIsCounted) {
   obs::MetricsRegistry registry(2);
   obs::Observer observer;
@@ -174,6 +170,5 @@ TEST(Watchdog, TripIsCounted) {
   }
   EXPECT_GE(trips, 1u);
 }
-#endif
 
 }  // namespace

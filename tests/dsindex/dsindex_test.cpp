@@ -297,14 +297,12 @@ TEST(DsIndexSeek, CountersAccountHitsAndSeeks) {
     is >> g;
   });
   m.detachObserver();
-#if PCXX_OBS_ENABLED
   const auto snap = reg.snapshot();
   using obs::Counter;
   // Open probe: one hit per node. Two indexed seeks per node on top.
   EXPECT_EQ(snap.merged.counter(Counter::DsIndexSeeks), 4u);
   EXPECT_EQ(snap.merged.counter(Counter::DsIndexHits), 6u);
   EXPECT_EQ(snap.merged.counter(Counter::DsIndexFallbacks), 0u);
-#endif
 }
 
 }  // namespace

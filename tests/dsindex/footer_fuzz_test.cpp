@@ -189,14 +189,12 @@ std::vector<std::uint64_t> readAllShuffled(pfs::Pfs& fs,
     }
   });
   m.detachObserver();
-#if PCXX_OBS_ENABLED
   const auto snap = reg.snapshot();
   if (expectIndexed) {
     EXPECT_EQ(snap.merged.counter(obs::Counter::DsIndexFallbacks), 0u);
   } else {
     EXPECT_GE(snap.merged.counter(obs::Counter::DsIndexFallbacks), 1u);
   }
-#endif
   std::vector<std::uint64_t> out(kRecords);
   for (int r = 0; r < kRecords; ++r) out[static_cast<size_t>(r)] = sums[r];
   return out;

@@ -252,10 +252,8 @@ TEST(Projection, ObserverCountsProjectedRecords) {
   });
   m.detachObserver();
   EXPECT_EQ(bad.load(), 0);
-#if PCXX_OBS_ENABLED
   const auto snap = reg.snapshot();
   EXPECT_EQ(snap.merged.counter(obs::Counter::DsIndexProjections), 4u);
-#endif
 }
 
 struct Var {

@@ -241,4 +241,40 @@ TEST(Inspect, EmptyFileAndAlienFileRejected) {
   EXPECT_THROW(ds::inspectFile(alien), FormatError);
 }
 
+TEST(Inspect, AutoHeaderPolicyTurnsParallelAt4096Elements) {
+  // One record just below the Auto threshold, then one at it, appended to
+  // the same file by a second stream over a larger collection.
+  pfs::Pfs fs = test::memFs();
+  rt::Machine m(2);
+  for (const std::int64_t n : {std::int64_t{4095}, std::int64_t{4096}}) {
+    m.run([&](rt::Node&) {
+      coll::Processors P;
+      coll::Distribution d(n, &P, coll::DistKind::Block);
+      coll::Collection<int> g(&d);
+      g.forEachLocal([](int& v, std::int64_t i) { v = static_cast<int>(i); });
+      ds::StreamOptions so;
+      so.append = true;
+      ds::OStream s(fs, &d, "auto", so);
+      s << g;
+      s.write();
+    });
+  }
+
+  pfs::MemStorage storage;
+  rt::Machine probe(1);
+  probe.run([&](rt::Node& node) {
+    auto f = fs.open(node, "auto", pfs::OpenMode::Read);
+    ByteBuffer all(static_cast<size_t>(f->size()));
+    f->readAt(node, 0, all);
+    storage.writeAt(0, all);
+  });
+
+  const ds::FileInfo info = ds::inspectFile(storage);
+  ASSERT_EQ(info.records.size(), 2u);
+  EXPECT_EQ(info.records[0].header.elementCount(), 4095);
+  EXPECT_EQ(info.records[0].header.mode, ds::HeaderMode::Gathered);
+  EXPECT_EQ(info.records[1].header.elementCount(), 4096);
+  EXPECT_EQ(info.records[1].header.mode, ds::HeaderMode::Parallel);
+}
+
 }  // namespace

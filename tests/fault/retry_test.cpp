@@ -153,7 +153,6 @@ TEST(RetryPolicyBackground, TransientWriteFailuresRetriedToSuccess) {
   transientWriteFailuresRetriedToSuccess(IoPath::Background);
 }
 
-#if PCXX_OBS_ENABLED
 TEST(RetryPolicy, RetriesAndBackoffShowUpInMetrics) {
   pfs::Pfs fs = test::memFs();
   pfs::RetryPolicy rp;
@@ -186,7 +185,6 @@ TEST(RetryPolicy, RetriesAndBackoffShowUpInMetrics) {
   EXPECT_EQ(snap.merged.counter(obs::Counter::PfsGiveUps), 0u);
   EXPECT_DOUBLE_EQ(snap.merged.timer(obs::Timer::PfsBackoffSeconds), 0.125);
 }
-#endif  // PCXX_OBS_ENABLED
 
 void shortWriteResumesFromCompletedPrefix(IoPath path) {
   PathIo io{path, {}};

@@ -115,7 +115,7 @@ TEST(MetricNames, AreUniqueAndNonNull) {
 }
 
 TEST(ObsMacros, TolerateNullObserver) {
-  [[maybe_unused]] obs::NodeObs* obs = nullptr;
+  obs::NodeObs* obs = nullptr;
   PCXX_OBS_COUNT(obs, DsInserts, 1);
   PCXX_OBS_SECONDS(obs, DsWriteSeconds, 1.0);
   PCXX_OBS_HIST(obs, PfsReadSize, 8);
@@ -126,7 +126,6 @@ TEST(ObsMacros, TolerateNullObserver) {
   SUCCEED();
 }
 
-#if PCXX_OBS_ENABLED
 TEST(MachineObserver, CountsCollectivesAndMessages) {
   rt::Machine m(2);
   MetricsRegistry reg(2);
@@ -162,6 +161,5 @@ TEST(MachineObserver, AttachRequiresEnoughRegistrySlots) {
   observer.metrics = &small;
   EXPECT_THROW(m.attachObserver(observer), UsageError);
 }
-#endif  // PCXX_OBS_ENABLED
 
 }  // namespace

@@ -22,8 +22,6 @@ namespace {
 
 using namespace pcxx;
 
-#if PCXX_OBS_ENABLED
-
 /// One parsed trace event (the fields the schema checks need).
 struct Ev {
   std::string name;
@@ -62,8 +60,6 @@ std::vector<Ev> parseEvents(const std::string& json) {
   }
   return events;
 }
-
-#endif  // PCXX_OBS_ENABLED
 
 /// Write + read a small collection with `observer` attached (if any);
 /// returns the stream file's bytes.
@@ -113,8 +109,6 @@ class TraceGolden : public ::testing::Test {
 
   std::filesystem::path dir_;
 };
-
-#if PCXX_OBS_ENABLED
 
 TEST_F(TraceGolden, RoundtripTraceLoadsCleanly) {
   obs::MetricsRegistry reg(3);
@@ -327,8 +321,6 @@ TEST_F(TraceGolden, WriteJsonProducesLoadableFile) {
   EXPECT_TRUE(test::JsonChecker::valid(ss.str())) << ss.str();
   EXPECT_NE(ss.str().find("\"value\": 42.000"), std::string::npos);
 }
-
-#endif  // PCXX_OBS_ENABLED
 
 TEST_F(TraceGolden, ObserverDoesNotChangeStreamFileBytes) {
   std::filesystem::create_directories(dir_ / "obs");

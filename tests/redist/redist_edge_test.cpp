@@ -1,7 +1,7 @@
 // Redistribution edge layouts through the full d/stream read path: empty
 // chunks when P != Q, block <-> cyclic round trips, single-element records,
-// the chunk-size sweep against the legacy (pre-plan) exchange, and plan
-// reuse across records and reopen-under-a-different-node-count.
+// the chunk-size sweep, and plan reuse across records and
+// reopen-under-a-different-node-count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -131,10 +131,10 @@ TEST(RedistEdge, SingleElementRecord) {
   EXPECT_EQ(readAndVerify(fs, 2, coll::DistKind::Cyclic, 1, "one"), 0);
 }
 
-TEST(RedistEdge, ChunkSizeSweepMatchesLegacyPath) {
+TEST(RedistEdge, ChunkSizeSweepIsElementExact) {
   // The plan engine under every chunk budget — including degenerate 1-byte
-  // rounds that split every element — must reproduce exactly what the
-  // legacy map-based exchange (redistUsePlan = false) produces.
+  // rounds that split every element — must deliver every element exactly
+  // as written (checkElem against the deterministic fill).
   pfs::Pfs fs = test::memFs();
   const std::int64_t elements = 41;
   writeFile(fs, 4, coll::DistKind::Cyclic, elements, "sweep");
@@ -148,11 +148,6 @@ TEST(RedistEdge, ChunkSizeSweepMatchesLegacyPath) {
               0)
         << "redistChunkBytes=" << chunkBytes;
   }
-  ds::StreamOptions legacy;
-  legacy.redistUsePlan = false;
-  EXPECT_EQ(
-      readAndVerify(fs, 3, coll::DistKind::Block, elements, "sweep", legacy),
-      0);
 }
 
 TEST(RedistEdge, ReopenUnderDifferentNodeCounts) {
@@ -172,7 +167,6 @@ TEST(RedistEdge, ReopenUnderDifferentNodeCounts) {
   EXPECT_EQ(redist::PlanCache::instance().size(), afterFirst + 3);
 }
 
-#if PCXX_OBS_ENABLED
 TEST(RedistEdge, RepeatedSameLayoutReadsHitThePlanCache) {
   pfs::Pfs fs = test::memFs();
   const std::int64_t elements = 24;
@@ -209,6 +203,5 @@ TEST(RedistEdge, RepeatedSameLayoutReadsHitThePlanCache) {
   EXPECT_EQ(misses, static_cast<std::uint64_t>(nprocs));
   EXPECT_GE(hits, static_cast<std::uint64_t>(2 * nprocs));
 }
-#endif  // PCXX_OBS_ENABLED
 
 }  // namespace

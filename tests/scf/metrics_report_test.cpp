@@ -31,8 +31,6 @@ BenchConfig tinyConfig() {
   return cfg;
 }
 
-#if PCXX_OBS_ENABLED
-
 TEST(ScfMetrics, CollectsThreeMethodsPerCell) {
   const BenchTableResult result = scf::runBenchTable(tinyConfig());
   ASSERT_EQ(result.cells.size(), 2u);
@@ -136,10 +134,8 @@ TEST(ScfMetrics, WaitCategoriesAreDisjointAndBounded) {
   }
 }
 
-#endif  // PCXX_OBS_ENABLED
-
-// Runs in the obs-off configuration too: the bench works identically with
-// collection disabled (or compiled out), it just reports no metrics.
+// The bench works identically with collection disabled; it just reports
+// no metrics.
 TEST(ScfMetrics, DisabledCollectionLeavesCellsEmpty) {
   BenchConfig cfg = tinyConfig();
   cfg.collectMetrics = false;
