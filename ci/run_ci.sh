@@ -58,6 +58,19 @@ run_config() {
       echo "${walkers}" >&2
       return 1
     fi
+    # Protocol guard: the Figure 2 table in src/dstream/protocol.h alone
+    # decides when a stream call is a StateError, so constructing one
+    # anywhere else in src/ means a new hand-written state check.
+    echo "=== [${name}] protocol guard ==="
+    local state_checks
+    state_checks="$(grep -rn 'StateError(' "${repo_root}/src" |
+      grep -v '/src/dstream/protocol\.h:\|/src/util/error\.\(h\|cpp\):' ||
+      true)"
+    if [ -n "${state_checks}" ]; then
+      echo "protocol guard: throw StateError through ds::protocol::enter" >&2
+      echo "${state_checks}" >&2
+      return 1
+    fi
     echo "=== [${name}] lint ==="
     cmake --build "${build_dir}" --target lint
     # dslint gate: the SARIF report over src/ + examples/ (written by the

@@ -7,50 +7,6 @@ namespace pcxx::dslint {
 using sg::TokKind;
 using sg::Token;
 
-bool isReadModeEvent(EventKind e) {
-  return e == EventKind::Read || e == EventKind::UnsortedRead ||
-         e == EventKind::SkipRecord || e == EventKind::Rewind ||
-         e == EventKind::Seek || e == EventKind::Extract;
-}
-
-bool isWriteModeEvent(EventKind e) {
-  return e == EventKind::Insert || e == EventKind::Write;
-}
-
-bool isCollectiveEvent(EventKind e) {
-  switch (e) {
-    case EventKind::Write:
-    case EventKind::Read:
-    case EventKind::UnsortedRead:
-    case EventKind::SkipRecord:
-    case EventKind::Rewind:
-    case EventKind::Seek:
-    case EventKind::Close:
-      return true;
-    case EventKind::Insert:
-    case EventKind::Extract:
-    case EventKind::Use:
-      return false;
-  }
-  return false;
-}
-
-const char* eventName(EventKind e) {
-  switch (e) {
-    case EventKind::Insert: return "<<";
-    case EventKind::Write: return "write()";
-    case EventKind::Read: return "read()";
-    case EventKind::UnsortedRead: return "unsortedRead()";
-    case EventKind::SkipRecord: return "skipRecord()";
-    case EventKind::Rewind: return "rewind()";
-    case EventKind::Seek: return "seekRecord()";
-    case EventKind::Extract: return ">>";
-    case EventKind::Close: return "close()";
-    case EventKind::Use: return "use";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Identifiers that denote node identity by convention (paper §2: `this`
@@ -629,26 +585,12 @@ class Parser {
     if (cur().isSymbol(".") && peek().is(TokKind::Identifier) &&
         peek(2).isSymbol("(")) {
       const Token methodTok = peek();
-      const std::string& m = methodTok.text;
       advance();  // '.'
       advance();  // method; cur() == '(' — scanned by the caller for events
-      EventKind e = EventKind::Use;
-      if (m == "write") e = EventKind::Write;
-      else if (m == "read") e = EventKind::Read;
-      // readRecord/readRecords are seek-plus-read compounds: for the
-      // protocol FSM they land the stream on a recovered record, exactly
-      // like read().
-      else if (m == "readRecord") e = EventKind::Read;
-      else if (m == "readRecords") e = EventKind::Read;
-      else if (m == "unsortedRead") e = EventKind::UnsortedRead;
-      else if (m == "skipRecord") e = EventKind::SkipRecord;
-      else if (m == "rewind") e = EventKind::Rewind;
-      else if (m == "seekRecord") e = EventKind::Seek;
-      else if (m == "close") e = EventKind::Close;
       Action a;
       a.kind = Action::Kind::Event;
       a.name = name;
-      a.event = e;
+      a.event = ds::protocol::opForMethod(methodTok.text);
       a.line = methodTok.line;
       a.col = methodTok.col;
       emit(parent, std::move(a));
@@ -663,7 +605,7 @@ class Parser {
         Action a;
         a.kind = Action::Kind::Event;
         a.name = name;
-        a.event = insert ? EventKind::Insert : EventKind::Extract;
+        a.event = insert ? Op::Insert : Op::Extract;
         a.operand = scanOperand();
         a.line = opTok.line;
         a.col = opTok.col;

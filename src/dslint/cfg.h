@@ -24,40 +24,22 @@
 #include <utility>
 #include <vector>
 
+#include "dstream/protocol.h"
 #include "streamgen/token.h"
 
 namespace pcxx::dslint {
 
-enum class Dir { Out, In };
-
-/// Stream operations the protocol FSM interprets.
-enum class EventKind {
-  Insert,        // s << ...
-  Write,         // s.write()
-  Read,          // s.read()
-  UnsortedRead,  // s.unsortedRead()
-  SkipRecord,    // s.skipRecord()
-  Rewind,        // s.rewind()
-  Seek,          // s.seekRecord(k)
-  Extract,       // s >> ...
-  Close,         // s.close()
-  Use,           // any other method call (atEnd(), layout(), ...)
-};
-
-bool isReadModeEvent(EventKind e);
-bool isWriteModeEvent(EventKind e);
-/// Collective operations (paper §4.2: every node must execute them in the
-/// same order). Insert/Extract/Use are node-local.
-bool isCollectiveEvent(EventKind e);
-/// Human-readable operation name for diagnostics ("write()", "open", ...).
-const char* eventName(EventKind e);
+// Stream directions and the operations the protocol FSM interprets come
+// from the d/stream protocol table (the paper's Figure 2).
+using Dir = ds::protocol::Dir;
+using Op = ds::protocol::Op;
 
 /// One primitive the dataflow engine interprets.
 struct Action {
   enum class Kind {
     StreamDecl,  // ds::OStream name(args) — also the "open" collective
     CollDecl,    // coll::Collection<T> name(args)
-    Event,       // an EventKind applied to stream `name`
+    Event,       // an Op applied to stream `name`
     Call,        // call of a known helper passing streams as arguments
     Escape,      // stream `name` leaks to unanalyzed code
     ScopeEnd,    // destructor for `name` at the end of its scope
@@ -65,7 +47,7 @@ struct Action {
   };
   Kind kind = Kind::Event;
   std::string name;  ///< stream or collection variable
-  EventKind event = EventKind::Use;
+  Op event = Op::Use;
   // StreamDecl / CollDecl payload.
   Dir dir = Dir::Out;
   bool layoutKnown = false;

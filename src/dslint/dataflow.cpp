@@ -1,6 +1,7 @@
 #include "dslint/dataflow.h"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <memory>
 #include <set>
@@ -84,83 +85,71 @@ void joinInto(Env& a, const Env& b) {
 
 // -- the protocol FSM ---------------------------------------------------------
 
-/// One state's reaction to an event.
+namespace proto = ds::protocol;
+
+/// One state's reaction to an op, read off the protocol table.
 struct Outcome {
   const char* id = nullptr;  ///< diagnostic ID, nullptr when legal
   Severity sev = Severity::Error;
+  const char* message = nullptr;
+  int line = 0;  ///< helper summaries: the violating line inside the body
   unsigned next = 0;
 };
 
-Outcome transition(unsigned state, EventKind e) {
-  if (state == kClosed) {
-    if (e == EventKind::Close) return {"DS104", Severity::Error, kClosed};
-    return {"DS105", Severity::Error, kClosed};
-  }
-  switch (e) {
-    case EventKind::Insert:
-      if (state == kOEmpty0 || state == kOPend0)
-        return {nullptr, Severity::Error, kOPend0};
-      return {nullptr, Severity::Error, kOPend1};
-    case EventKind::Write:
-      if (state == kOEmpty0 || state == kOEmpty1)
-        return {"DS102", Severity::Error, kOEmpty1};
-      return {nullptr, Severity::Error, kOEmpty1};
-    case EventKind::Read:
-    case EventKind::UnsortedRead:
-      return {nullptr, Severity::Error, kIHasRec};
-    case EventKind::SkipRecord:
-    case EventKind::Rewind:
-    case EventKind::Seek:
-      // Repositioning discards the current record; extraction before the
-      // next read() is the DS103 pattern again.
-      return {nullptr, Severity::Error, kINoRec};
-    case EventKind::Extract:
-      if (state == kINoRec) return {"DS103", Severity::Error, kIHasRec};
-      return {nullptr, Severity::Error, kIHasRec};
-    case EventKind::Close:
-      if (state == kOPend0 || state == kOPend1)
-        return {"DS106", Severity::Error, kClosed};
-      if (state == kOEmpty0) return {"DS107", Severity::Warning, kClosed};
-      return {nullptr, Severity::Error, kClosed};
-    case EventKind::Use:
-      return {nullptr, Severity::Error, state};
-  }
-  return {nullptr, Severity::Error, state};
+template <typename S>
+Outcome outcomeOf(const proto::Row<S>& r, unsigned next) {
+  if (r.verdict == proto::Verdict::Ok) return {.next = next};
+  return {r.id, r.warning ? Severity::Warning : Severity::Error, r.message, 0,
+          next};
 }
 
-/// Destructor semantics at the end of the declaring scope: the stream stays
-/// in its state (the variable just dies), but definite data loss and
-/// never-written streams are reported.
-Outcome scopeEndOutcome(unsigned state) {
-  if (state == kOPend0 || state == kOPend1)
-    return {"DS106", Severity::Error, state};
-  if (state == kOEmpty0) return {"DS107", Severity::Warning, state};
-  return {nullptr, Severity::Error, state};
+/// The bits are the table's states: input ones are 1 << (4 + InState);
+/// open output ones are 1 << (OutState + 2 * has-written), the bit the
+/// runtime does not keep; kClosed is Closed in both directions.
+static_assert(kOPend1 == 1u << 3 && kINoRec == 1u << 4 && kClosed == 1u << 6);
+Outcome outcome(Dir dir, unsigned bit, Op op) {
+  const int i = std::countr_zero(bit);
+  if (dir == Dir::In) {
+    const auto r = proto::row(static_cast<proto::InState>(i - 4), op);
+    return outcomeOf(r, 1u << (4 + static_cast<int>(r.next)));
+  }
+  using S = proto::OutState;
+  const S s = bit == kClosed ? S::Closed : static_cast<S>(i % 2);
+  const bool wrote = (bit & (kOEmpty1 | kOPend1)) != 0 || op == Op::Write;
+  const auto r =
+      bit == kOEmpty0 && (op == Op::Close || op == Op::Destroy)
+          ? proto::kUnwrittenClose
+          : proto::row(s, op);
+  return outcomeOf(r, r.next == S::Closed
+                          ? kClosed
+                          : 1u << (static_cast<int>(r.next) + 2 * wrote));
 }
 
-std::string describe(const std::string& id, const std::string& name,
-                     const StreamVar& v) {
-  if (id == "DS102") {
-    return "write() on d/stream '" + name +
-           "' with nothing inserted since the last record boundary";
+/// Must-error over a state set, `each` giving one state's outcome: the
+/// union of the next states, and the diagnostic (with the first state's
+/// message and line) only when every state gives the same one.
+template <typename Each>
+Outcome mustError(unsigned states, Each&& each) {
+  Outcome common;
+  unsigned next = 0;
+  for (unsigned bit = 1; bit <= kClosed; bit <<= 1) {
+    if (!(states & bit)) continue;
+    const Outcome o = each(bit);
+    next |= o.next;
+    if ((states & (bit - 1)) == 0) {
+      common = o;  // the lowest state in the set
+    } else if (o.id == nullptr || common.id == nullptr ||
+               std::string(o.id) != common.id) {
+      common.id = nullptr;
+    }
   }
-  if (id == "DS103") {
-    return "extraction from d/stream '" + name +
-           "' before read() or unsortedRead()";
-  }
-  if (id == "DS104") return "double close of d/stream '" + name + "'";
-  if (id == "DS105") {
-    return "use of d/stream '" + name + "' after close (declared line " +
-           std::to_string(v.declLine) + ")";
-  }
-  if (id == "DS106") {
-    return "close of d/stream '" + name +
-           "' discards pending inserts that were never written";
-  }
-  if (id == "DS107") {
-    return "output d/stream '" + name + "' never writes a record";
-  }
-  return "d/stream protocol violation on '" + name + "'";
+  common.next = next;
+  return common;
+}
+
+Outcome mustError(Dir dir, unsigned states, Op op) {
+  return mustError(states,
+                   [&](unsigned bit) { return outcome(dir, bit, op); });
 }
 
 std::string layoutKey(const std::string& dist, const std::string& align) {
@@ -233,7 +222,7 @@ class Transfer {
         const StreamVar v = it->second;
         env.streams.erase(it);
         if (v.escaped || v.states == 0 || v.fromParam) return;
-        applyScopeEnd(v, a, sink);
+        report(mustError(v.dir, v.states, Op::Destroy), a, a.name, v, sink);
         return;
       }
       case Action::Kind::EarlyExit: {
@@ -241,16 +230,8 @@ class Transfer {
           if (v.escaped || v.states == 0 || v.fromParam) continue;
           // Only the definite data-loss check fires on early exits (a
           // return before write is usually an error path, not a bug).
-          const unsigned pend = kOPend0 | kOPend1;
-          if ((v.states & pend) != 0 && (v.states & ~pend) == 0 &&
-              sink != nullptr) {
-            sink->report("DS106", Severity::Error, a.line, a.col,
-                         "d/stream '" + name +
-                             "' destroyed with pending inserts never written "
-                             "(declared line " +
-                             std::to_string(v.declLine) + ")",
-                         name);
-          }
+          const Outcome o = mustError(v.dir, v.states, Op::Destroy);
+          if (o.sev == Severity::Error) report(o, a, name, v, sink);
           v.escaped = true;  // do not re-report at the enclosing scope end
         }
         return;
@@ -267,69 +248,35 @@ class Transfer {
 
     // Direction errors are definite regardless of protocol state (D1:
     // mixing write-mode and read-mode calls).
-    if (v.dir == Dir::Out && isReadModeEvent(a.event)) {
-      if (sink != nullptr) {
-        sink->report("DS101", Severity::Error, a.line, a.col,
-                     "read-mode operation on output d/stream '" + a.name +
-                         "' (declared line " + std::to_string(v.declLine) +
-                         ")",
-                     a.name);
-      }
-      return;
-    }
-    if (v.dir == Dir::In && isWriteModeEvent(a.event)) {
-      if (sink != nullptr) {
-        sink->report("DS101", Severity::Error, a.line, a.col,
-                     "write-mode operation on input d/stream '" + a.name +
-                         "' (declared line " + std::to_string(v.declLine) +
-                         ")",
-                     a.name);
-      }
+    if (!ds::protocol::info(a.event).on(v.dir)) {
+      const char* msg = v.dir == Dir::Out
+                            ? "read-mode operation on an output stream"
+                            : "write-mode operation on an input stream";
+      report({.id = "DS101", .message = msg}, a, a.name, v, sink);
       return;
     }
 
-    // Per-state transition with must-error reporting: diagnose only if
-    // the event misbehaves in EVERY possible state.
-    unsigned next = 0;
-    const char* commonId = nullptr;
-    Severity commonSev = Severity::Error;
-    bool allError = true;
-    bool any = false;
-    for (unsigned bit = 1; bit <= kClosed; bit <<= 1) {
-      if (!(v.states & bit)) continue;
-      const Outcome o = transition(bit, a.event);
-      next |= o.next;
-      if (!any) {
-        commonId = o.id;
-        commonSev = o.sev;
-        any = true;
-      } else if (o.id == nullptr || commonId == nullptr ||
-                 std::string(o.id) != commonId) {
-        allError = false;
-      }
-      if (o.id == nullptr) allError = false;
-    }
-    if (any && allError && commonId != nullptr && sink != nullptr) {
-      sink->report(commonId, commonSev, a.line, a.col,
-                   describe(commonId, a.name, v), a.name);
-    }
-    v.states = next;
+    // Must-error reporting: diagnose only if the event misbehaves in
+    // EVERY possible state.
+    const Outcome o = mustError(v.dir, v.states, a.event);
+    report(o, a, a.name, v, sink);
+    v.states = o.next;
     // Salvage-mode read() may land at end-of-file with no record; keep the
     // no-record state live so later extractions (guarded by hasRecord() at
     // runtime) are not flagged as definite DS103 errors.
     if (v.salvage &&
-        (a.event == EventKind::Read || a.event == EventKind::UnsortedRead)) {
+        (a.event == Op::Read || a.event == Op::UnsortedRead)) {
       v.states |= kINoRec;
     }
 
     // D4 bookkeeping.
-    if (a.event == EventKind::Write) v.pendingKeys.clear();
+    if (a.event == Op::Write) v.pendingKeys.clear();
     const CollVar* cv = nullptr;
     if (!a.operand.empty()) {
       auto cIt = env.colls.find(a.operand);
       if (cIt != env.colls.end()) cv = &cIt->second;
     }
-    if ((a.event == EventKind::Insert || a.event == EventKind::Extract) &&
+    if ((a.event == Op::Insert || a.event == Op::Extract) &&
         cv != nullptr && cv->layoutKnown) {
       const std::string cKey = layoutKey(cv->distVar, cv->alignVar);
       if (v.layoutKnown) {
@@ -343,7 +290,7 @@ class Transfer {
                        a.name);
         }
       }
-      if (a.event == EventKind::Insert) {
+      if (a.event == Op::Insert) {
         for (const auto& [key, line] : v.pendingKeys) {
           if (key != cKey) {
             if (sink != nullptr) {
@@ -411,47 +358,28 @@ class Transfer {
       }
       // Must-error across every state reaching the call: the helper body
       // definitely violates the protocol for this call context.
-      unsigned next = 0;
-      std::string commonId;
-      std::string commonMsg;
-      int commonLine = fn->line;
-      bool allError = true;
-      bool any = false;
-      for (unsigned bit = 1; bit <= kClosed; bit <<= 1) {
-        if (!(v.states & bit)) continue;
-        std::string id;
-        if (auto eIt = ps->errorId.find(bit); eIt != ps->errorId.end()) {
-          id = eIt->second;
+      const Outcome o = mustError(v.states, [&](unsigned bit) {
+        Outcome each{.line = fn->line, .next = bit};
+        if (auto eIt = ps->errors.find(bit); eIt != ps->errors.end()) {
+          each.id = eIt->second.id.c_str();
+          each.message = eIt->second.message.c_str();
+          each.line = eIt->second.line;
         }
-        if (!any) {
-          commonId = id;
-          if (auto mIt = ps->errorMsg.find(bit); mIt != ps->errorMsg.end()) {
-            commonMsg = mIt->second;
-          }
-          if (auto lIt = ps->errorLine.find(bit); lIt != ps->errorLine.end()) {
-            commonLine = lIt->second;
-          }
-          any = true;
-        } else if (id != commonId) {
-          allError = false;
-        }
-        if (id.empty()) allError = false;
         if (auto oIt = ps->out.find(bit); oIt != ps->out.end()) {
-          next |= oIt->second;
-        } else {
-          next |= bit;
+          each.next = oIt->second;
         }
-      }
-      if (any && allError && !commonId.empty() && sink != nullptr) {
+        return each;
+      });
+      if (o.id != nullptr && sink != nullptr) {
         sink->report("DS108", Severity::Error, a.line, a.col,
                      "call to '" + a.callee +
                          "' violates the d/stream protocol on '" + argName +
-                         "' in every state reaching this call: " + commonMsg +
-                         " (" + commonId + " inside the helper, line " +
-                         std::to_string(commonLine) + ")",
+                         "' in every state reaching this call: " + o.message +
+                         " (" + o.id + " inside the helper, line " +
+                         std::to_string(o.line) + ")",
                      argName);
       }
-      if (next != 0) v.states = next;
+      if (o.next != 0) v.states = o.next;
       if (ps->escapes) {
         if (opts_.strict && sink != nullptr) {
           sink->report("DS109", Severity::Note, a.line, a.col,
@@ -468,38 +396,15 @@ class Transfer {
     }
   }
 
-  void applyScopeEnd(const StreamVar& v, const Action& a, Sink* sink) const {
-    unsigned dummy = 0;
-    const char* commonId = nullptr;
-    Severity commonSev = Severity::Error;
-    bool allError = true;
-    bool any = false;
-    for (unsigned bit = 1; bit <= kClosed; bit <<= 1) {
-      if (!(v.states & bit)) continue;
-      const Outcome o = scopeEndOutcome(bit);
-      dummy |= o.next;
-      if (!any) {
-        commonId = o.id;
-        commonSev = o.sev;
-        any = true;
-      } else if (o.id == nullptr || commonId == nullptr ||
-                 std::string(o.id) != commonId) {
-        allError = false;
-      }
-      if (o.id == nullptr) allError = false;
-    }
-    if (any && allError && commonId != nullptr && sink != nullptr) {
-      const std::string msg =
-          std::string(commonId) == "DS106"
-              ? "d/stream '" + a.name +
-                    "' destroyed with pending inserts never written "
-                    "(declared line " +
-                    std::to_string(v.declLine) + ")"
-              : "output d/stream '" + a.name +
-                    "' never writes a record (declared line " +
-                    std::to_string(v.declLine) + ")";
-      sink->report(commonId, commonSev, a.line, a.col, msg, a.name);
-    }
+  /// Report a must-error outcome on stream `name` at action `a`.
+  static void report(const Outcome& o, const Action& a,
+                     const std::string& name, const StreamVar& v,
+                     Sink* sink) {
+    if (o.id == nullptr || sink == nullptr) return;
+    sink->report(o.id, o.sev, a.line, a.col,
+                 "d/stream '" + name + "' (declared line " +
+                     std::to_string(v.declLine) + "): " + o.message,
+                 name);
   }
 
   const DataflowOptions& opts_;

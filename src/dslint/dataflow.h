@@ -65,12 +65,14 @@ struct ParamSummary {
   /// Per initial state bit: the states the stream can be in on return.
   std::map<unsigned, unsigned> out;
   /// Per initial state bit: the diagnostic the helper body definitely
-  /// trips when entered in that state ("" when the state is fine).
-  /// Warnings are not recorded — only error-severity must-errors.
-  std::map<unsigned, std::string> errorId;
-  std::map<unsigned, std::string> errorMsg;
-  /// Line of the violating statement inside the helper body.
-  std::map<unsigned, int> errorLine;
+  /// trips when entered in that state, and the line of the violating
+  /// statement (no entry when the state is fine). Warnings are not
+  /// recorded — only error-severity must-errors.
+  struct Violation {
+    std::string id, message;
+    int line = 0;
+  };
+  std::map<unsigned, Violation> errors;
 };
 
 struct FnSummary {

@@ -206,11 +206,11 @@ class CollectiveChecker {
         seq.push_back(CollEvent{
             "collective open of d/stream '" + a.name + "'", a.line, a.col});
       } else if (a.kind == Action::Kind::Event &&
-                 isCollectiveEvent(a.event)) {
-        seq.push_back(
-            CollEvent{"collective " + std::string(eventName(a.event)) +
-                          " on d/stream '" + a.name + "'",
-                      a.line, a.col});
+                 ds::protocol::info(a.event).collective) {
+        seq.push_back(CollEvent{std::string("collective ") +
+                                    ds::protocol::info(a.event).name +
+                                    " on d/stream '" + a.name + "'",
+                                a.line, a.col});
       } else if (a.kind == Action::Kind::Call) {
         auto it = summaries_.find(a.callee);
         if (it != summaries_.end() && it->second.collective) {

@@ -217,7 +217,8 @@ void scanCollectives(const Stmt& s, const SummaryMap& known,
                      std::set<std::string>& streams, bool& any) {
   for (const Action& a : s.actions) {
     if (a.kind == Action::Kind::StreamDecl) any = true;
-    if (a.kind == Action::Kind::Event && isCollectiveEvent(a.event)) {
+    if (a.kind == Action::Kind::Event &&
+        ds::protocol::info(a.event).collective) {
       streams.insert(a.name);
       any = true;
     }
@@ -286,9 +287,7 @@ SummaryMap computeSummaries(const sg::TokenStream& stream,
         ps.out[bit] = r.outStates;
         ps.escapes = ps.escapes || r.escaped;
         if (!r.errorId.empty()) {
-          ps.errorId[bit] = r.errorId;
-          ps.errorMsg[bit] = r.errorMsg;
-          ps.errorLine[bit] = r.errorLine;
+          ps.errors[bit] = {r.errorId, r.errorMsg, r.errorLine};
         }
         if (firstSeed) {
           uid = r.errorId;
@@ -306,9 +305,7 @@ SummaryMap computeSummaries(const sg::TokenStream& stream,
                     umsg + " (in '" + c.name + "', for every call context)");
         // The defect is the helper's alone — do not re-report it as DS108
         // at every call site.
-        ps.errorId.clear();
-        ps.errorMsg.clear();
-        ps.errorLine.clear();
+        ps.errors.clear();
       }
       fn.params.push_back(std::move(ps));
     }

@@ -10,6 +10,9 @@
 
 namespace pcxx::ds {
 
+using protocol::InState;
+using protocol::Op;
+
 IStream::IStream(pfs::Pfs& fs, const coll::Distribution* d,
                  const coll::Align* a, const std::string& fileName,
                  StreamOptions opts)
@@ -125,37 +128,27 @@ RecordStep IStream::frameAt(std::uint64_t offset, bool indexHint) {
   return c.frame(offset, headerBytes);
 }
 
-IStream::~IStream() {
-  state_ = State::Closed;
-  prefetcher_.reset();  // before file_: the plan holds a file reference
-  file_.reset();
-}
+IStream::~IStream() { close(); }
 
 void IStream::close() {
-  state_ = State::Closed;
+  enter(Op::Close);
   prefetcher_.reset();  // before file_: the plan holds a file reference
   file_.reset();
 }
 
 void IStream::rewind() {
-  if (state_ == State::Closed) {
-    throw StateError("rewind on a closed d/stream");
-  }
+  enter(Op::Rewind);
   file_->seekShared(*node_, kFileHeaderBytes);
-  record_.reset();
-  state_ = State::Ready;
   restartPrefetch();
 }
 
 bool IStream::atEnd() const {
-  if (state_ == State::Closed) return true;
+  if (state_ == InState::Closed) return true;
   return file_->sharedOffset() >= chainEnd();
 }
 
 void IStream::seekRecord(std::uint32_t k) {
-  if (state_ == State::Closed) {
-    throw StateError("seekRecord on a closed d/stream");
-  }
+  enter(Op::SeekRecord);
   PCXX_OBS_SPAN(node_->obs(), "ds.seek");
   PCXX_OBS_COUNT(node_->obs(), DsIndexSeeks, 1);
   if (indexValid_) {
@@ -166,8 +159,6 @@ void IStream::seekRecord(std::uint32_t k) {
     }
     PCXX_OBS_COUNT(node_->obs(), DsIndexHits, 1);
     file_->seekShared(*node_, index_.entries[static_cast<size_t>(k)].offset);
-    record_.reset();
-    state_ = State::Ready;
     restartPrefetch();
     return;
   }
@@ -175,8 +166,6 @@ void IStream::seekRecord(std::uint32_t k) {
   // skips — same result, O(k) header reads.
   PCXX_OBS_COUNT(node_->obs(), DsIndexFallbacks, 1);
   file_->seekShared(*node_, kFileHeaderBytes);
-  record_.reset();
-  state_ = State::Ready;
   restartPrefetch();
   for (std::uint32_t i = 0; i < k; ++i) {
     if (atEnd()) {
@@ -196,9 +185,7 @@ void IStream::seekRecord(std::uint32_t k) {
 }
 
 void IStream::project(std::vector<std::uint32_t> fields) {
-  if (state_ == State::Closed) {
-    throw StateError("project on a closed d/stream");
-  }
+  enter(Op::Project);
   std::sort(fields.begin(), fields.end());
   fields.erase(std::unique(fields.begin(), fields.end()), fields.end());
   projection_ = std::move(fields);
@@ -212,13 +199,7 @@ const RecordHeader& IStream::currentRecord() const {
 
 void IStream::checkExtract(const coll::Layout& collectionLayout,
                            std::uint32_t tag, InsertKind kind) const {
-  if (state_ == State::Closed) {
-    throw StateError("extract on a closed d/stream");
-  }
-  if (state_ != State::Extracting) {
-    throw StateError(
-        "extract requires a preceding read() or unsortedRead() (Figure 2)");
-  }
+  protocol::enter(state_, Op::Extract);
   if (collectionLayout != layout_) {
     throw UsageError(
         "extracted collection's distribution/alignment does not match the "
@@ -245,9 +226,7 @@ void IStream::checkExtract(const coll::Layout& collectionLayout,
 }
 
 RecordHeader IStream::skipRecord() {
-  if (state_ == State::Closed) {
-    throw StateError("skipRecord on a closed d/stream");
-  }
+  enter(Op::SkipRecord);
   PCXX_OBS_SPAN(node_->obs(), "ds.skip");
   PCXX_OBS_COUNT(node_->obs(), DsSkips, 1);
   // Replay's prefix-then-header fetch: seekRecord only skips without an
@@ -255,25 +234,19 @@ RecordHeader IStream::skipRecord() {
   RecordStep step = frameAt(file_->sharedOffset(), /*indexHint=*/false);
   step.throwIfDamaged();
   file_->seekShared(*node_, step.resumeAt);
-  // Skipping discards any partially extracted record (Figure 2 allows
-  // read -> read, and skip is a cheaper read).
-  record_.reset();
-  state_ = State::Ready;
   restartPrefetch();
   return std::move(step.frame->header);
 }
 
 void IStream::readNext(bool sorted) {
-  if (state_ == State::Closed) {
-    throw StateError("read on a closed d/stream");
-  }
+  // The previous record is dropped here, once: whatever this read throws,
+  // the stream is left with nothing to extract.
+  enter(sorted ? Op::Read : Op::UnsortedRead);
   PCXX_OBS_PHASE(node_->obs(), "ds.read", DsReadSeconds);
   for (;;) {
     if (opts_.salvage && atEnd()) {
       // Salvage consumed the rest of the file (or it was already
       // exhausted): no record to extract, but no exception either.
-      record_.reset();
-      state_ = State::Ready;
       return;
     }
     const bool got = readRecordOnce(sorted);
@@ -285,13 +258,16 @@ void IStream::readNext(bool sorted) {
   }
 }
 
+void IStream::enter(Op op) {
+  state_ = protocol::enter(state_, op);
+  if (state_ == InState::Ready) record_.reset();
+}
+
 bool IStream::skipDamage(std::uint64_t from, std::uint64_t to,
                          std::string reason) {
   salvage_.recordsLost += 1;
   salvage_.damage.push_back(DamagedRange{from, to - from, std::move(reason)});
   file_->seekShared(*node_, to);
-  record_.reset();
-  state_ = State::Ready;
   return false;
 }
 
@@ -369,14 +345,10 @@ bool IStream::readRecordOnce(bool sorted) {
   // ---- data (phase 1: conforming contiguous read) --------------------------
   // When this phase is the final placement (unsorted, or nothing moves) the
   // data lands in the previous record's buffer, whose pages are already
-  // resident; that record is gone from here on. Redistribution writes
-  // buffer_ itself, so it reads into a fresh chunk.
+  // resident (readNext dropped that record). Redistribution writes buffer_
+  // itself, so it reads into a fresh chunk.
   ByteBuffer chunk;
-  if (!sorted || frame.header.layout == layout_) {
-    chunk.swap(buffer_);
-    record_.reset();
-    state_ = State::Ready;
-  }
+  if (!sorted || frame.header.layout == layout_) chunk.swap(buffer_);
   chunk.resize(static_cast<size_t>(myChunkBytes));
   if (fobs != nullptr && fobs->trace != nullptr) {
     fobs->trace->flowStep(node_->id(), "ds.record", fobs->now(), rid);
@@ -642,7 +614,7 @@ bool IStream::finishRecord(bool sorted, RecordFrame frame, ByteBuffer chunk,
   record_ = std::move(header);
   extractCursors_.assign(static_cast<size_t>(localCount_), 0);
   nextExtract_ = 0;
-  state_ = State::Extracting;
+  state_ = protocol::next(state_, sorted ? Op::Read : Op::UnsortedRead);
   // A record only counts as *recovered* when salvage mode is actually
   // scanning past damage; clean reads must report a clean SalvageReport.
   if (opts_.salvage) salvage_.recordsRecovered += 1;

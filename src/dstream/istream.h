@@ -29,6 +29,7 @@
 #include "collection/collection.h"
 #include "dsindex/dsindex.h"
 #include "dstream/element_io.h"
+#include "dstream/protocol.h"
 #include "dstream/record.h"
 #include "dstream/record_cursor.h"
 #include "dstream/salvage.h"
@@ -170,7 +171,7 @@ class IStream {
   /// mode a read() that reached a torn tail (or end of file) leaves no
   /// record; without salvage this is equivalent to "a read() succeeded and
   /// extraction has not been invalidated".
-  bool hasRecord() const { return state_ == State::Extracting; }
+  bool hasRecord() const { return state_ == protocol::InState::Extracting; }
 
   /// What salvage-mode reads recovered and skipped so far (records and
   /// damaged byte ranges). Meaningful once StreamOptions::salvage is set.
@@ -189,8 +190,6 @@ class IStream {
   }
 
  private:
-  enum class State { Ready, Extracting, Closed };
-
   /// Within-element geometry of an active projection against one record's
   /// insert list: where each projected field lives inside the fixed-size
   /// prefix every element carries.
@@ -218,6 +217,9 @@ class IStream {
   void setupPrefetch();
   /// (Re)point the read-ahead chain at the shared cursor.
   void restartPrefetch();
+  /// Figure 2 step at the start of `op` (throws the table's StateError);
+  /// an op that enters Ready drops the current record.
+  void enter(protocol::Op op);
   void readNext(bool sorted);
   ProjectionMap projectionFor(const RecordHeader& header) const;
   /// Collective vote that every local element carries the projected field
@@ -289,7 +291,7 @@ class IStream {
   pfs::ParallelFilePtr file_;
   coll::Layout layout_;
   StreamOptions opts_;
-  State state_ = State::Ready;
+  protocol::InState state_ = protocol::InState::Ready;
   std::int64_t localCount_;
 
   std::optional<RecordHeader> record_;

@@ -166,14 +166,13 @@ void OStream::openFile(const std::string& fileName) {
 }
 
 OStream::~OStream() {
-  if (state_ == State::Closed) return;
-  const bool pendingInserts = state_ == State::Inserting;
-  if (pendingInserts) {
-    PCXX_LOG_WARN(
-        "OStream('%s') destroyed with inserts that were never written",
-        file_ != nullptr ? file_->name().c_str() : "?");
+  if (state_ == protocol::OutState::Closed) return;
+  const auto destroy = protocol::row(state_, protocol::Op::Destroy);
+  if (destroy.verdict == protocol::Verdict::Lint) {
+    PCXX_LOG_WARN("OStream('%s') %s",
+                  file_ != nullptr ? file_->name().c_str() : "?",
+                  destroy.message);
   }
-  state_ = State::Closed;
   const bool writeBehindFailed = writer_ != nullptr && writer_->failed();
   if (writeBehindFailed) {
     PCXX_LOG_WARN(
@@ -200,12 +199,8 @@ OStream::~OStream() {
 }
 
 void OStream::close() {
-  if (state_ == State::Closed) return;
-  if (state_ == State::Inserting) {
-    throw StateError(
-        "close(): stream has pending inserts; call write() first");
-  }
-  state_ = State::Closed;
+  // A second close() falls through as a no-op: everything is released.
+  state_ = protocol::enter(state_, protocol::Op::Close);
   if (writer_ != nullptr) {
     // Drain before releasing the file: a failed background flush must
     // surface here as its typed error, not vanish with the stream.
@@ -246,9 +241,7 @@ void OStream::appendFooter() {
 }
 
 void OStream::checkInsert(const coll::Layout& collectionLayout) const {
-  if (state_ == State::Closed) {
-    throw StateError("insert on a closed d/stream");
-  }
+  protocol::enter(state_, protocol::Op::Insert);
   // The interleaving constraint (paper §3): all collections inserted
   // before a write must share the stream's size and layout.
   if (collectionLayout != layout_) {
@@ -262,7 +255,7 @@ void OStream::beginInsert(std::uint32_t tag, InsertKind kind,
                           std::uint32_t fixedPerElement) {
   PCXX_OBS_COUNT(node_->obs(), DsInserts, 1);
   descs_.push_back(InsertDesc{tag, kind, fixedPerElement});
-  state_ = State::Inserting;
+  state_ = protocol::next(state_, protocol::Op::Insert);
 }
 
 std::vector<Entry>& OStream::entriesFor(std::int64_t localIdx) {
@@ -284,12 +277,7 @@ HeaderMode OStream::chooseHeaderMode() const {
 }
 
 void OStream::write() {
-  if (state_ == State::Closed) {
-    throw StateError("write on a closed d/stream");
-  }
-  if (state_ != State::Inserting) {
-    throw StateError("write() requires at least one insert (Figure 2)");
-  }
+  state_ = protocol::enter(state_, protocol::Op::Write);
   if (writer_ != nullptr) writer_->rethrowPending();
   PCXX_OBS_PHASE(node_->obs(), "ds.write", DsWriteSeconds);
 
@@ -503,7 +491,7 @@ void OStream::write() {
   arena_.clear();
   descs_.clear();
   ++recordSeq_;
-  state_ = State::Ready;
+  state_ = protocol::next(state_, protocol::Op::Write);
   PCXX_OBS_COUNT(node_->obs(), DsWrites, 1);
   PCXX_OBS_TRACE_COUNTER(node_->obs(), "ds.bufferBytes", 0);
 }

@@ -28,6 +28,7 @@
 #include "collection/collection.h"
 #include "dsindex/dsindex.h"
 #include "dstream/element_io.h"
+#include "dstream/protocol.h"
 #include "dstream/record.h"
 #include "dstream/stream_common.h"
 #include "dstream/typetag.h"
@@ -129,8 +130,6 @@ class OStream {
   }
 
  private:
-  enum class State { Ready, Inserting, Closed };
-
   void openFile(const std::string& fileName);
   void setupAsync();
   void checkInsert(const coll::Layout& collectionLayout) const;
@@ -149,7 +148,7 @@ class OStream {
   pfs::ParallelFilePtr file_;
   coll::Layout layout_;
   StreamOptions opts_;
-  State state_ = State::Ready;
+  protocol::OutState state_ = protocol::OutState::Ready;
   std::int64_t localCount_;
 
   std::vector<InsertDesc> descs_;

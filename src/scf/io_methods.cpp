@@ -1,6 +1,8 @@
 #include "scf/io_methods.h"
 
 #include <cstring>
+#include <memory>
+#include <span>
 
 #include "dstream/istream.h"
 #include "dstream/ostream.h"
@@ -85,7 +87,12 @@ class ManualBufferingIo final : public IoMethod {
               coll::Collection<Segment>& segments,
               const std::string& file) override {
     auto f = fs.open(node, file, pfs::OpenMode::Create);
+    std::uint64_t myBytes = 0;
+    segments.forEachLocal([&](Segment& seg, std::int64_t) {
+      myBytes += segmentBytes(seg.numberOfParticles);
+    });
     ByteBuffer buf;
+    buf.reserve(static_cast<size_t>(myBytes));
     segments.forEachLocal([&](Segment& seg, std::int64_t) {
       const auto n = static_cast<std::uint64_t>(seg.numberOfParticles);
       const Byte* count = reinterpret_cast<const Byte*>(&seg.numberOfParticles);
@@ -109,19 +116,22 @@ class ManualBufferingIo final : public IoMethod {
     const std::uint64_t myBytes =
         static_cast<std::uint64_t>(segments.localCount()) *
         segmentBytes(particlesPerSegment);
-    ByteBuffer buf(static_cast<size_t>(myBytes));
-    f->readOrdered(node, buf);
+    // Every byte is overwritten by the read, so skip the zero fill.
+    const auto buf =
+        std::make_unique_for_overwrite<Byte[]>(static_cast<size_t>(myBytes));
+    f->readOrdered(node,
+                   std::span<Byte>(buf.get(), static_cast<size_t>(myBytes)));
     std::uint64_t off = 0;
     segments.forEachLocal([&](Segment& seg, std::int64_t) {
       int n = 0;
-      std::memcpy(&n, buf.data() + off, sizeof(int));
+      std::memcpy(&n, buf.get() + off, sizeof(int));
       off += sizeof(int);
       if (n != seg.numberOfParticles) seg.allocate(n);
       double* fields[7] = {seg.x, seg.y, seg.z, seg.vx,
                            seg.vy, seg.vz, seg.mass};
       for (double*& field : fields) {
         const auto bytes = 8ull * static_cast<std::uint64_t>(n);
-        std::memcpy(field, buf.data() + off, bytes);
+        std::memcpy(field, buf.get() + off, bytes);
         off += bytes;
       }
     });

@@ -24,7 +24,8 @@ class IoError : public Error {
 };
 
 /// A d/stream primitive was invoked in a state where it is not permitted
-/// (see the Figure 2 state machines in the paper).
+/// (the paper's Figure 2). Raised only by the protocol table's Throw rows
+/// (src/dstream/protocol.h), which dslint reads too.
 class StateError : public Error {
  public:
   explicit StateError(const std::string& what)

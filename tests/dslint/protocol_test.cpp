@@ -52,6 +52,38 @@ TEST(ProtocolTest, DoubleCloseIsReported) {
   )"), (std::vector<std::string>{"DS104"}));
 }
 
+TEST(ProtocolTest, AtEndAfterCloseIsLegalButOtherQueriesAreNot) {
+  // The runtime answers atEnd() on a closed stream (true), so the table
+  // makes it legal; other members after close stay DS105.
+  EXPECT_TRUE(idsOf(R"(
+    void f() {
+      ds::IStream in("x");
+      in.close();
+      bool done = in.atEnd();
+    }
+  )").empty());
+  EXPECT_EQ(idsOf(R"(
+    void f() {
+      ds::IStream in("x");
+      in.close();
+      bool has = in.hasRecord();
+    }
+  )"), (std::vector<std::string>{"DS105"}));
+}
+
+TEST(ProtocolTest, InputOnlyMembersOnAnOutputStreamAreDirectionErrors) {
+  // project() and atEnd() are IStream members, per the protocol table.
+  EXPECT_EQ(idsOf(R"(
+    void f() {
+      ds::OStream out("x");
+      out << 1; out.write();
+      bool done = out.atEnd();
+      out.project(fields);
+      out.close();
+    }
+  )"), (std::vector<std::string>{"DS101", "DS101"}));
+}
+
 TEST(ProtocolTest, BranchWithInsertInBothArmsIsClean) {
   EXPECT_TRUE(idsOf(R"(
     void f(bool b) {

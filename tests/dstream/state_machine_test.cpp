@@ -2,7 +2,11 @@
 // constraints.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "src/dstream/dstream.h"
+#include "src/dstream/inspect.h"
 #include "tests/common/test_helpers.h"
 
 namespace {
@@ -273,5 +277,76 @@ TEST(IStreamState, CurrentRecordRequiresRead) {
     EXPECT_EQ(s.currentRecord().inserts.size(), 1u);
   });
 }
+
+// One rule for a read() that throws, whatever the prefetch depth and
+// wherever the read failed: the previous record is gone, hasRecord() is
+// false, and an extraction is a StateError (Figure 2's read -> read drops
+// the unextracted record on entry).
+enum class ReadFailure { DataCrc, PastEnd };
+
+class FailedReadTest
+    : public ::testing::TestWithParam<std::tuple<ReadFailure, int>> {};
+
+TEST_P(FailedReadTest, LeavesNoRecordToExtract) {
+  const auto [failure, depth] = GetParam();
+  constexpr int kRecords = 3;
+  pfs::Pfs fs = test::memFs();
+  rt::Machine m(2);
+  m.run([&](rt::Node&) {
+    coll::Processors P;
+    coll::Distribution d(6, &P, coll::DistKind::Block);
+    coll::Collection<int> g(&d);
+    ds::StreamOptions so;
+    so.checksumData = true;
+    ds::OStream s(fs, &d, "f", so);
+    for (int r = 0; r < kRecords; ++r) {
+      s << g;
+      s.write();
+    }
+  });
+  // Records read cleanly before the failing read.
+  int good = kRecords;
+  if (failure == ReadFailure::DataCrc) {
+    ByteBuffer bytes;
+    test::runSpmd(1, [&](rt::Node& node) {
+      auto f = fs.open(node, "f", pfs::OpenMode::Read);
+      bytes.resize(static_cast<size_t>(f->size()));
+      EXPECT_EQ(f->readAt(node, 0, bytes), bytes.size());
+    });
+    pfs::MemStorage image;
+    image.writeAt(0, bytes);
+    const ds::FileInfo info = ds::inspectFile(image);
+    ASSERT_EQ(info.records.size(), static_cast<size_t>(kRecords));
+    fs.corruptByte("f", info.records[1].dataOffset, 0xEE);
+    good = 1;
+  }
+  m.run([&](rt::Node&) {
+    coll::Processors P;
+    coll::Distribution d(6, &P, coll::DistKind::Block);
+    coll::Collection<int> g(&d);
+    ds::StreamOptions so;
+    so.aioPrefetchDepth = depth;
+    ds::IStream s(fs, &d, "f", so);
+    for (int r = 0; r < good; ++r) s.read();
+    EXPECT_TRUE(s.hasRecord());
+    EXPECT_THROW(s.read(), FormatError);
+    EXPECT_FALSE(s.hasRecord());
+    EXPECT_THROW(s >> g, StateError);
+  });
+}
+
+std::string failedReadName(
+    const ::testing::TestParamInfo<std::tuple<ReadFailure, int>>& p) {
+  const bool crc = std::get<0>(p.param) == ReadFailure::DataCrc;
+  return std::string(crc ? "DataCrc" : "PastEnd") + "AtDepth" +
+         std::to_string(std::get<1>(p.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FailedRead, FailedReadTest,
+    ::testing::Combine(::testing::Values(ReadFailure::DataCrc,
+                                         ReadFailure::PastEnd),
+                       ::testing::Values(0, 1)),
+    failedReadName);
 
 }  // namespace
